@@ -334,28 +334,28 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
       storm.emplace_back(UchanMsg{}, shard);
       return storm.back().first;
     };
-    {  // netif_rx length above the jumbo ceiling
+    {  // one-record netif_rx, length above the jumbo ceiling
+      DmaFrag frag{rng.Next(),
+                   static_cast<uint32_t>(kern::kJumboMaxFrameBytes + 1 + rng.Below(100))};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      m.opcode = kEthDownNetifRx;
-      m.args[0] = rng.Next();
-      m.args[1] = kern::kJumboMaxFrameBytes + 1 + rng.Below(100);
+      wire::EncodeNetifRx({&frag, 1}, &m);
     }
-    {  // ragged rx chain payload
-      wire::RxFrag frags[2] = {{rng.Next(), 256}, {rng.Next(), 256}};
+    {  // ragged netif_rx payload
+      DmaFrag frags[2] = {{rng.Next(), 256}, {rng.Next(), 256}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
+      wire::EncodeNetifRx(frags, &m);
       m.inline_data.resize(m.inline_data.size() - 1 - rng.Below(11));
     }
     {  // per-fragment lengths fine, total over the reassembly cap
       uint32_t len = static_cast<uint32_t>(kern::kJumboMaxFrameBytes - rng.Below(100));
-      wire::RxFrag frags[2] = {{rng.Next(), len}, {rng.Next(), len}};
+      DmaFrag frags[2] = {{rng.Next(), len}, {rng.Next(), len}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
+      wire::EncodeNetifRx(frags, &m);
     }
     {  // advertised fragment count disagrees with the payload
-      wire::RxFrag frags[2] = {{rng.Next(), 128}, {rng.Next(), 128}};
+      DmaFrag frags[2] = {{rng.Next(), 128}, {rng.Next(), 128}};
       UchanMsg& m = forge(static_cast<uint16_t>(rng.Below(2)));
-      wire::EncodeRxChain(frags, 2, &m);
+      wire::EncodeNetifRx(frags, &m);
       m.args[0] = 3 + rng.Below(8);
     }
     {  // free-buffer batch lying about its count (salvage path)
@@ -406,39 +406,31 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
   for (int round = 0; round < 5; ++round) {
     std::vector<std::pair<UchanMsg, uint16_t>> storm;
     uint16_t shard = static_cast<uint16_t>(rng.Below(2));
-    {  // xmit chain whose fragments sum past the jumbo ceiling
-      int32_t ids[6] = {0, 1, 2, 3, 4, 5};
-      uint32_t lens[6];
-      for (uint32_t& len : lens) {
-        len = 2048;
-      }
+    {  // xmit whose fragments sum past the jumbo ceiling
+      wire::XmitFrag frags[6] = {{0, 2048}, {1, 2048}, {2, 2048},
+                                 {3, 2048}, {4, 2048}, {5, 2048}};
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 6, 6 * 2048, &m);
+      wire::EncodeXmit(shard, frags, &m);
       storm.emplace_back(std::move(m), shard);
     }
-    {  // xmit chain count/payload mismatch
-      int32_t ids[2] = {0, 1};
-      uint32_t lens[2] = {512, 512};
+    {  // xmit count/payload mismatch
+      wire::XmitFrag frags[2] = {{0, 512}, {1, 512}};
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 2, 1024, &m);
+      wire::EncodeXmit(shard, frags, &m);
       m.args[1] += 1 + rng.Below(4);
       storm.emplace_back(std::move(m), shard);
     }
-    {  // truncated xmit chain payload
-      int32_t ids[2] = {0, 1};
-      uint32_t lens[2] = {512, 512};
+    {  // truncated xmit payload
+      wire::XmitFrag frags[2] = {{0, 512}, {1, 512}};
       UchanMsg m;
-      wire::EncodeXmitChain(shard, ids, lens, 2, 1024, &m);
+      wire::EncodeXmit(shard, frags, &m);
       m.inline_data.resize(m.inline_data.size() - 1 - rng.Below(7));
       storm.emplace_back(std::move(m), shard);
     }
-    {  // single xmit with an oversize staged buffer claim
+    {  // one-record xmit with an oversize staged buffer claim
+      wire::XmitFrag frag{0, static_cast<uint32_t>(kern::kJumboMaxFrameBytes + 1 + rng.Below(64))};
       UchanMsg m;
-      m.opcode = kEthUpXmit;
-      m.droppable = true;
-      m.args[0] = shard;
-      m.buffer_id = 0;
-      m.buffer_len = static_cast<uint32_t>(kern::kJumboMaxFrameBytes + 1 + rng.Below(64));
+      wire::EncodeXmit(shard, {&frag, 1}, &m);
       storm.emplace_back(std::move(m), shard);
     }
     {  // unknown upcall opcode

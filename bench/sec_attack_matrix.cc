@@ -291,7 +291,7 @@ Cell RunTornChain(NetBench::Options options, const std::string& config) {
   (void)p->FireOverCapChains(8);
   (void)p->FireWildChains(8);
   bench.host->Pump();
-  uint64_t rejected = bench.proxy->stats().rx_bad_chain.load();
+  uint64_t rejected = bench.proxy->stats().rx_rejected.load();
   uint64_t delivered = bench.kernel.net().Find("eth0") != nullptr
                            ? bench.kernel.net().Find("eth0")->stats().rx_packets.load()
                            : 0;
@@ -419,7 +419,7 @@ Cell RunTxOverCapChain(NetBench::Options options, const std::string& config) {
   return {"over-cap TX chain", config, contained, note};
 }
 
-// Forged kEthUpXmitChain messages: fragment-record count mismatches, bogus
+// Forged kEthUpXmit messages: fragment-record count mismatches, bogus
 // pool ids, per-fragment lengths above one staging buffer, oversize totals.
 // The runtime must reject each one before a single descriptor is armed.
 Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
@@ -430,13 +430,13 @@ Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
   uint64_t tx_before = bench.sut_nic.stats().tx_frames.load();
   auto forge = [&](uint64_t claimed_count, std::vector<std::pair<uint32_t, uint32_t>> records) {
     UchanMsg msg;
-    msg.opcode = kEthUpXmitChain;
+    msg.opcode = kEthUpXmit;
     msg.args[0] = 0;
     msg.args[1] = claimed_count;
-    msg.inline_data.resize(records.size() * kXmitChainFragBytes);
+    msg.inline_data.resize(records.size() * kXmitFragBytes);
     for (size_t i = 0; i < records.size(); ++i) {
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes, records[i].first);
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes + 4, records[i].second);
+      StoreLe32(msg.inline_data.data() + i * kXmitFragBytes, records[i].first);
+      StoreLe32(msg.inline_data.data() + i * kXmitFragBytes + 4, records[i].second);
     }
     (void)bench.ctx->ctl().SendAsync(std::move(msg));
   };
@@ -445,8 +445,8 @@ Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
   forge(2, {{0, 4096}, {1, 512}});                           // len > one buffer
   forge(6, {{0, 2048}, {1, 2048}, {2, 2048}, {3, 2048}, {4, 2048}, {5, 2048}});  // oversize
   bench.host->Pump();
-  uint64_t rejected = bench.host->runtime()->stats().xmit_chains_rejected.load();
-  uint64_t armed = bench.host->runtime()->stats().xmit_chain_upcalls.load();
+  uint64_t rejected = bench.host->runtime()->stats().xmit_rejected.load();
+  uint64_t armed = bench.host->runtime()->stats().xmit_upcalls.load();
   uint64_t transmitted = bench.sut_nic.stats().tx_frames.load() - tx_before;
   bool contained = rejected == 4 && armed == 0 && transmitted == 0;
   char note[96];

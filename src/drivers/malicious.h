@@ -174,9 +174,9 @@ class BogusRxDriver : public uml::Driver {
  public:
   const char* name() const override { return "bogus-rx"; }
   Status Probe(uml::DriverEnv& env) override;
-  // Fires `count` bogus downcalls; returns how many the kernel accepted
-  // (must be 0).
-  Result<int> Fire(int count);
+  // Fires `count` bogus downcalls, each claim split into a list of `frags`
+  // fragment records; returns how many the kernel accepted (must be 0).
+  Result<int> Fire(int count, size_t frags = 1);
 
  private:
   uml::DriverEnv* env_ = nullptr;
@@ -247,11 +247,13 @@ class ChainAttackDriver : public uml::Driver {
 
   // Each enqueues `count` forged chain downcalls and returns how many the
   // runtime accepted for transport (the rejection happens kernel-side:
-  // judge containment by the proxy's rx_bad_chain / rx_packets counters
+  // judge containment by the proxy's rx_rejected / rx_packets counters
   // after a pump).
   Result<int> FireOversizeChains(int count);
   Result<int> FireOverCapChains(int count);
-  Result<int> FireWildChains(int count);
+  // A list of `frags` records whose LAST fragment is wild (the others are
+  // legitimate).
+  Result<int> FireWildChains(int count, size_t frags = 2);
 
  private:
   uml::DriverEnv* env_ = nullptr;

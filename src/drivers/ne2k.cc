@@ -34,8 +34,13 @@ Status Ne2kDriver::Probe(uml::DriverEnv& env) {
   uml::NetDriverOps ops;
   ops.open = [this]() { return Open(); };
   ops.stop = [this]() { return Stop(); };
-  ops.xmit = [this](uint64_t iova, uint32_t len, int32_t id, uint16_t /*queue*/) {
-    return Xmit(iova, len, id);  // single-queue device: steering is a no-op
+  // No SG bit: the kernel side hands over one-fragment frames only. The
+  // device is single-queue, so steering is a no-op.
+  ops.xmit = [this](std::span<const uml::TxFrag> frags, uint16_t /*queue*/) {
+    if (frags.size() != 1) {
+      return Status(ErrorCode::kInvalidArgument, "ne2k transmits one buffer per frame");
+    }
+    return Xmit(frags[0].iova, frags[0].len, frags[0].pool_buffer_id);
   };
   ops.ioctl = [this](uint32_t cmd) -> Result<std::string> {
     return Status(ErrorCode::kInvalidArgument, "ne2k supports no ioctls");
@@ -107,7 +112,8 @@ Result<int> Ne2kDriver::Poll() {
     for (uint16_t i = 0; i < len; ++i) {
       scratch.value()[i] = In(devices::kNe2kPortData);
     }
-    (void)env_->NetifRx(scratch_iova_, len);
+    DmaFrag frame{scratch_iova_, len};
+    (void)env_->NetifRx({&frame, 1});
     ++stats_.rx_frames;
     ++delivered;
   }

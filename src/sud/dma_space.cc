@@ -2,6 +2,16 @@
 
 namespace sud {
 
+uint64_t DmaSpace::NextIova(uint64_t bytes) const {
+  // The MSI doorbell window is never handed out as DMA memory: a region that
+  // would overlap it starts past it instead (IOVAs below are unchanged).
+  uint64_t msi_end = hw::kMsiRangeBase + hw::kMsiRangeSize;
+  if (next_iova_ < msi_end && next_iova_ + bytes > hw::kMsiRangeBase) {
+    return msi_end;
+  }
+  return next_iova_;
+}
+
 Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   if (bytes == 0) {
     return Status(ErrorCode::kInvalidArgument, "zero-byte dma allocation");
@@ -11,14 +21,14 @@ Result<DmaRegion> DmaSpace::Alloc(uint64_t bytes, bool coherent) {
   if (!paddr.ok()) {
     return paddr.status();
   }
-  uint64_t iova = next_iova_;
+  uint64_t iova = NextIova(rounded);
   Status mapped = iommu_->Map(source_id_, iova, paddr.value(), rounded, /*readable=*/true,
                               /*writable=*/true);
   if (!mapped.ok()) {
     dram_->FreePages(paddr.value(), rounded / hw::kPageSize);
     return mapped;
   }
-  next_iova_ += rounded;
+  next_iova_ = iova + rounded;
   DmaRegion region{iova, paddr.value(), rounded, coherent};
   // Resolve the host window once: the steady-state HostView is then pure
   // pointer arithmetic off the cached base.
@@ -39,13 +49,13 @@ Result<DmaRegion> DmaSpace::MapExternal(uint64_t paddr, uint64_t bytes) {
     return Status(ErrorCode::kInvalidArgument, "external dma grant not page aligned");
   }
   uint64_t rounded = hw::PageAlignUp(bytes);
-  uint64_t iova = next_iova_;
+  uint64_t iova = NextIova(rounded);
   Status mapped = iommu_->Map(source_id_, iova, paddr, rounded, /*readable=*/true,
                               /*writable=*/false);
   if (!mapped.ok()) {
     return mapped;
   }
-  next_iova_ += rounded;
+  next_iova_ = iova + rounded;
   DmaRegion region{iova, paddr, rounded, /*coherent=*/false, /*external=*/true};
   Result<ByteSpan> window = dram_->Window(region.paddr, region.bytes);
   if (!window.ok()) {

@@ -43,6 +43,15 @@ struct DmaRegion {
   uint8_t* host_base = nullptr;
 };
 
+// One fragment of a frame scattered across DMA memory (an EOP descriptor
+// chain's per-descriptor chunk, or the whole frame as a list of one): an
+// address in a driver's DMA space plus its length. Driver-marshalled data —
+// the kernel side re-validates every fragment, never trusts it.
+struct DmaFrag {
+  uint64_t iova = 0;
+  uint32_t len = 0;
+};
+
 class DmaSpace {
  public:
   DmaSpace(hw::PhysicalMemory* dram, hw::Iommu* iommu, uint16_t source_id,
@@ -94,6 +103,9 @@ class DmaSpace {
 
  private:
   const DmaRegion* FindRegion(uint64_t iova, uint64_t len) const;
+  // The IOVA the next `bytes`-long region starts at: the bump pointer,
+  // moved past the MSI range when the region would overlap it.
+  uint64_t NextIova(uint64_t bytes) const;
 
   hw::PhysicalMemory* dram_;
   hw::Iommu* iommu_;

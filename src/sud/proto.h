@@ -2,8 +2,9 @@
 // the per-device-class upcall/downcall opcodes of Figure 7.
 //
 // Marshalling convention: scalars ride in UchanMsg::args, byte payloads in
-// inline_data, and bulk data (packets, samples) in shared-pool buffers
-// referenced by buffer_id/buffer_len.
+// inline_data, and bulk data (packets, samples) in shared-pool buffers —
+// referenced by buffer_id/buffer_len, or for Ethernet frames by the
+// fragment records in inline_data.
 
 #ifndef SUD_SRC_SUD_PROTO_H_
 #define SUD_SRC_SUD_PROTO_H_
@@ -22,21 +23,22 @@ namespace sud {
 // carrier) rides shard 0. Kernel-side handlers trust the *shard* a message
 // arrived on, never a queue index the driver marshalled.
 //
+// Data-plane frames cross as fragment lists in BOTH directions: a frame in
+// one buffer is a list of one, so each direction has one message, one
+// validator and one handler whatever the frame's shape.
+//
 // Upcalls (kernel -> driver).
 inline constexpr uint32_t kEthUpOpen = kOpDeviceClassBase + 0;    // "net_open" (sync)
 inline constexpr uint32_t kEthUpStop = kOpDeviceClassBase + 1;    // (sync)
-// args[0]: TX queue the kernel steered the frame to (== the shard it rides).
-inline constexpr uint32_t kEthUpXmit = kOpDeviceClassBase + 2;    // (async, shared buffer)
+// ndo_start_xmit: ONE frame staged across one or more shared-pool buffers
+// (or read-only TX grants). args[0]: the TX queue the kernel steered the
+// frame to (== the shard it rides); args[1]: fragment count; inline_data:
+// that many (LE32 pool buffer id, LE32 length) records — 8 bytes each. The
+// runtime re-validates every record against the pool — every id resolvable,
+// every length within one buffer — before a single descriptor is armed.
+inline constexpr uint32_t kEthUpXmit = kOpDeviceClassBase + 2;    // (async, shared buffers)
+inline constexpr size_t kXmitFragBytes = 8;
 inline constexpr uint32_t kEthUpIoctl = kOpDeviceClassBase + 3;   // "ioctl" (sync)
-// Scatter/gather transmit: ONE frame staged across multiple shared-pool
-// buffers (the TX counterpart of kEthDownNetifRxChain). args[0]: TX queue;
-// args[1]: fragment count; inline_data: that many (LE32 pool buffer id,
-// LE32 length) records — 8 bytes each. The runtime re-validates every record
-// against the pool — count vs payload vs kern::kMaxChainFrags, every id
-// resolvable, every length within one buffer, the total within the jumbo
-// maximum — before a single descriptor is armed.
-inline constexpr uint32_t kEthUpXmitChain = kOpDeviceClassBase + 4;  // (async, shared buffers)
-inline constexpr size_t kXmitChainFragBytes = 8;
 // Downcalls (driver -> kernel).
 // args[0]: number of TX/RX queues the driver services; args[1]: interface
 // MTU (kernel-clamped; bounds every receive length check); args[2]: feature
@@ -44,8 +46,15 @@ inline constexpr size_t kXmitChainFragBytes = 8;
 inline constexpr uint32_t kEthDownRegisterNetdev = kOpDownDeviceClassBase + 0;
 // Feature bits for kEthDownRegisterNetdev args[2].
 inline constexpr uint64_t kEthFeatureSg = 1ull << 0;  // NETIF_F_SG
-// args[0]: frame iova, args[1]: length. Delivered on the RX queue's shard.
-inline constexpr uint32_t kEthDownNetifRx = kOpDownDeviceClassBase + 1;  // "netif_rx" (async, buffer)
+// netif_rx: ONE received frame, in one RX buffer or scattered across an EOP
+// descriptor chain. Delivered on the RX queue's shard. args[0]: fragment
+// count; inline_data: that many (LE64 iova, LE32 len) records — 12 bytes
+// each. The kernel side re-validates every fragment against the driver's DMA
+// space and the total against the interface's maximum frame, then
+// guard-copies the frame into one private skb (or, for a page-aligned
+// one-fragment frame under sealed delivery, seals it in place).
+inline constexpr uint32_t kEthDownNetifRx = kOpDownDeviceClassBase + 1;  // (async, buffers)
+inline constexpr size_t kNetifRxFragBytes = 12;
 inline constexpr uint32_t kEthDownSetCarrier = kOpDownDeviceClassBase + 2;  // args[0]: 0/1 (mirror)
 // Unified layout: args[0]: id count, inline_data: that many little-endian
 // int32 buffer ids. A single completion is a batch of one; a TX reap pass
@@ -56,14 +65,6 @@ inline constexpr size_t kFreeBufferIdBytes = 4;
 // Static cap on one free batch (a reap pass can never legitimately carry
 // more ids than this many pool buffers).
 inline constexpr size_t kMaxFreeBufferIds = 1024;
-// netif_rx for an EOP-chained multi-descriptor frame. args[0]: fragment
-// count; inline_data: that many (LE64 iova, LE32 len) records — 12 bytes
-// each. The kernel side re-validates EVERYTHING: the count against the
-// payload and kern::kMaxChainFrags, every fragment against the driver's DMA
-// space, and the total against the jumbo frame maximum; the reassembled
-// frame is guard-copied fragment-by-fragment into one private skb.
-inline constexpr uint32_t kEthDownNetifRxChain = kOpDownDeviceClassBase + 4;
-inline constexpr size_t kNetifRxChainFragBytes = 12;
 
 // ---- Wireless class ---------------------------------------------------------
 inline constexpr uint32_t kWifiUpScan = kOpDeviceClassBase + 16;            // (sync)
@@ -95,11 +96,11 @@ inline constexpr size_t kMaxSsidBytes = 32;
 inline constexpr size_t kWifiBitrateBytes = 4;
 inline constexpr size_t kMaxWifiBitrates = 64;
 
-// Device-class messages defined above (Ethernet 5 up + 5 down, wireless
+// Device-class messages defined above (Ethernet 4 up + 4 down, wireless
 // 3 + 3, audio 3 + 2, USB 1). Every one must have a wire_schema registry
 // entry — wire_schema.cc static_asserts on this count, so adding a message
 // here without a schema fails the build. Bump when adding an opcode.
-inline constexpr size_t kProtoMessageCount = 22;
+inline constexpr size_t kProtoMessageCount = 20;
 
 }  // namespace sud
 

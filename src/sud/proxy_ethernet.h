@@ -6,22 +6,28 @@
 //
 //   ndo_open/ndo_stop  -> synchronous upcalls (interruptable: ifconfig on a
 //                         hung driver returns an error instead of blocking)
-//   ndo_start_xmit     -> asynchronous upcall carrying a shared-pool buffer
-//                         (zero-copy hand-off; the driver points its NIC at
-//                         the same bytes). Frag skbs for an SG driver stage
-//                         per-fragment into standard pool buffers and cross
-//                         as ONE kEthUpXmitChain upcall (count + records) —
-//                         no linearize copy, no oversized staging buffer;
-//                         for a non-SG driver the proxy linearizes first
-//                         (the fallback copy the SG path deletes)
+//   ndo_start_xmit     -> ONE asynchronous upcall per frame carrying a
+//                         fragment list of shared-pool buffers (zero-copy
+//                         hand-off; the driver points its NIC at the same
+//                         bytes). A frame that fits one buffer is a list of
+//                         one; frag skbs for an SG driver stage per-fragment
+//                         into standard pool buffers, or under sealed_tx
+//                         cross their DRAM frags as read-only grants; for a
+//                         non-SG driver the proxy linearizes first
 //   ndo_do_ioctl       -> synchronous upcall (the MII status example)
-//   netif_rx           <- asynchronous downcall carrying a shared buffer;
-//                         the proxy *guard-copies* the packet into an skb,
-//                         fused with the checksum pass (Section 3.1.2), so a
-//                         malicious driver rewriting the buffer after the
-//                         firewall verdict attacks only its own copy
+//   netif_rx           <- ONE asynchronous downcall per frame carrying a
+//                         fragment list in the driver's DMA space; the proxy
+//                         *guard-copies* the frame into one skb, fused with
+//                         the checksum pass (Section 3.1.2), so a malicious
+//                         driver rewriting the buffer after the firewall
+//                         verdict attacks only its own copy (a page-aligned
+//                         one-fragment frame may instead be sealed in place)
 //   carrier on/off     <- mirror downcalls for the shared-memory link state
 //                         (Section 3.3)
+//
+// The path a frame takes is decided by the frame itself — its fragment
+// count, page alignment for sealed RX, DRAM-backed frags for sealed TX, and
+// the driver's declared SG bit — never by the message it arrived under.
 //
 // Multi-queue: packet traffic rides the uchan shard of the queue it belongs
 // to. StartXmitBatch(skbs, q) stages its burst into shard q (the kernel's
@@ -50,6 +56,7 @@
 #include <vector>
 
 #include "src/kern/kernel.h"
+#include "src/kern/net_limits.h"
 #include "src/kern/netdev.h"
 #include "src/sud/proto.h"
 #include "src/sud/safe_pci.h"
@@ -111,13 +118,13 @@ class EthernetProxy : public kern::NetDeviceOps {
   struct Stats {
     std::atomic<uint64_t> xmit_upcalls{0};
     std::atomic<uint64_t> xmit_batches{0};      // StartXmitBatch crossings
-    std::atomic<uint64_t> xmit_chain_upcalls{0};  // multi-fragment xmit messages
     std::atomic<uint64_t> xmit_dropped{0};
     std::atomic<uint64_t> rx_downcalls{0};
     std::atomic<uint64_t> rx_bundles{0};        // NAPI deliveries into the stack
-    std::atomic<uint64_t> rx_chain_downcalls{0};  // multi-fragment netif_rx messages
-    std::atomic<uint64_t> rx_bad_buffer_id{0};  // malicious buffer ids rejected
-    std::atomic<uint64_t> rx_bad_chain{0};      // malformed/oversize chains rejected
+    // netif_rx downcalls rejected before any copy: malformed fragment lists,
+    // fragments outside the driver's DMA space, frames over the interface
+    // maximum.
+    std::atomic<uint64_t> rx_rejected{0};
     // netif_rx downcalls whose per-shard sequence number was not strictly
     // greater than the last one seen: a duplicated (replayed or
     // fault-injected) delivery, rejected before any guard copy. Neither a
@@ -145,8 +152,7 @@ class EthernetProxy : public kern::NetDeviceOps {
   const Stats& stats() const { return stats_; }
 
   // Structural (wire-schema) rejections at the downcall boundary, per
-  // message. The per-attack counters above (rx_bad_buffer_id, rx_bad_chain)
-  // keep their historical meaning and cover structural AND semantic rejects.
+  // message. rx_rejected above covers structural AND semantic rejects.
   const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
   // Test seam modelling a perfectly-timed concurrent attacker: invoked (when
@@ -176,12 +182,15 @@ class EthernetProxy : public kern::NetDeviceOps {
   // dedup/prologue ordering; malformed free batches are tolerated and their
   // payload ids salvaged; everything else is refused with kInvalidArgument).
   void RejectDowncall(UchanMsg& msg, uint16_t shard, wire::Malform verdict);
-  // Shared head of the netif_rx paths — dedup against the shard's seq
-  // watermark, the downcall counters, the netdev-liveness check — run for
-  // accepted AND structurally rejected deliveries so the accounting a
-  // malformed message leaves behind matches what it always was. Returns false
-  // when the message is already fully handled (dup or no netdev).
-  bool RxDowncallProlog(UchanMsg& msg, uint16_t shard, bool chain);
+  // Head of every netif_rx downcall — dedup against the shard's seq
+  // watermark, the downcall counter, the netdev-liveness check — run for
+  // accepted AND structurally rejected deliveries so both leave the same
+  // accounting behind. Returns false when the message is already fully
+  // handled (dup or no netdev).
+  bool RxDowncallProlog(UchanMsg& msg, uint16_t shard);
+  // Re-validates the fragment list (addresses, total) and delivers the
+  // frame: sealed in place, through the vulnerable ablation, or guard-copied
+  // into ONE private skb before any verdict.
   void HandleNetifRx(UchanMsg& msg, uint16_t shard);
   // The sealed zero-copy delivery attempt: write-seal the buffer's pages,
   // verify the checksum in place, hand the stack an extern skb whose death
@@ -194,38 +203,35 @@ class EthernetProxy : public kern::NetDeviceOps {
   // bind generation moved on (crash-reap quarantine: never unseal a dead
   // epoch's page into a successor's IO space).
   void ReleaseSealedPages(uint64_t base, uint64_t len, uint32_t epoch);
-  // netif_rx for an EOP-chained frame: re-validates the fragment list
-  // (count, addresses, total) and guard-copies fragment-by-fragment into ONE
-  // private skb before any verdict.
-  void HandleNetifRxChain(UchanMsg& msg, uint16_t shard);
-  // Tail of both rx paths: charges the stack costs, applies the bad-checksum
-  // drop accounting, and joins the shard's NAPI bundle.
+  // Tail of every verified rx delivery: charges the stack costs, applies the
+  // bad-checksum drop accounting, and joins the shard's NAPI bundle.
   void FinishRxSkb(kern::SkbPtr skb, bool checksum_ok, size_t frame_bytes, uint16_t shard);
   void HandleFreeBuffer(UchanMsg& msg);
-  // Stages one skb for transmit and fills `msg`: the single-buffer kEthUpXmit
-  // fast path for linear frames that fit one pool buffer, the chain path for
-  // SG frag skbs, and the linearize fallback (an extra charged full-frame
-  // copy) for frag skbs headed at a non-SG driver. On failure the hung-driver
-  // accounting has already been applied and nothing stays allocated.
-  // Takes the skb by owning pointer: the sealed-TX path moves it into the
-  // frame's grant group (its DRAM frag pages must outlive the device's
-  // reads); every other path leaves it with the caller.
+  // Stages one skb for transmit and fills `msg` with its kEthUpXmit
+  // fragment list. Frag skbs headed at a non-SG driver, or too fragmented
+  // for the chain cap, are linearized first (an extra charged full-frame
+  // copy); a frame the records cannot hold is dropped whole. On failure the
+  // drop and hung-driver accounting have been applied and nothing stays
+  // allocated. Takes the skb by owning pointer: the sealed-TX path moves it
+  // into the frame's grant group (its DRAM frag pages must outlive the
+  // device's reads); every other path leaves it with the caller.
   Status PrepareXmit(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
-  // Stages one frame across per-fragment pool buffers as a kEthUpXmitChain
-  // message: head and frags chunked by the pool buffer size, bounded by
-  // kern::kMaxChainFrags. Under sealed_tx, DRAM-backed frags cross as
-  // read-only grants instead of staged copies (same records, no memcpy).
-  Status StageXmitChain(kern::SkbPtr& skb, UchanMsg* msg, uint16_t queue);
-  // Extracts every pool buffer id a staged xmit message references (the
-  // single buffer_id, or the chain's whole record list) into `out`, which
-  // must hold kern::kMaxChainFrags entries; returns how many. The failure
-  // paths free exactly these when a message never reaches the ring.
+  // Stages a frame as at most `max_records` records: head and frags chunked
+  // by the pool buffer size, one record per chunk. Under sealed_tx,
+  // DRAM-backed frags cross as read-only grants instead of staged copies
+  // (same records, no memcpy). All or nothing: on failure every staged
+  // record is freed again.
+  Status StageXmit(kern::SkbPtr& skb, size_t max_records, UchanMsg* msg, uint16_t queue);
+  // Extracts every pool buffer id a staged xmit message references into
+  // `out`, which must hold kern::kMaxChainFrags entries; returns how many.
+  // The failure paths free exactly these when a message never reaches the
+  // ring.
   static size_t StagedBufferIds(const UchanMsg& msg, int32_t* out);
-  // Chain records the skb's geometry would stage (each segment chunked by
-  // the pool buffer size): the chain-vs-linearize decision input.
+  // Records the skb's geometry would stage (each segment chunked by the pool
+  // buffer size): the stage-vs-linearize decision input.
   size_t StagedChainRecords(const kern::Skb& skb) const;
   // The driver-declared MTU clamped to what the TX staging pool can hold
-  // (one buffer for single-buffer drivers, a bounded chain of them for SG).
+  // (one buffer for non-SG drivers, a bounded chain of them for SG).
   uint32_t DeclaredMtu(uint64_t declared) const;
   void NoteXmitFull();
   // Delivers queue `shard`'s guard-copied rx bundle accumulated during the
@@ -272,6 +278,10 @@ class EthernetProxy : public kern::NetDeviceOps {
   // from that shard's pump thread; reset (with the fresh uchan's seq space)
   // on driver restart.
   std::array<uint64_t, kSudMaxQueues> last_rx_seq_{};
+  // Per-shard scratch for the validated views of a netif_rx fragment list
+  // (only touched from that shard's pump thread), kept here so the
+  // per-packet path does not initialize a chain-cap-sized array.
+  std::array<std::array<ByteSpan, kern::kMaxChainFrags>, kSudMaxQueues> rx_views_{};
 };
 
 }  // namespace sud

@@ -39,10 +39,12 @@
 #ifndef SUD_SRC_SUD_UCHAN_H_
 #define SUD_SRC_SUD_UCHAN_H_
 
+#include <algorithm>
 #include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -51,6 +53,66 @@
 #include "src/base/status.h"
 
 namespace sud {
+
+// The byte payload of one uchan message. Up to kInlineBytes live inside the
+// message, so the data plane's one-record fragment lists (an 8-byte xmit
+// record, a 12-byte netif_rx record) and single free-buffer ids cross with no
+// heap allocation; longer payloads spill to a vector.
+class MsgPayload {
+ public:
+  static constexpr size_t kInlineBytes = 16;
+
+  size_t size() const { return heap_.empty() ? inline_size_ : heap_.size(); }
+  bool empty() const { return size() == 0; }
+  uint8_t* data() { return heap_.empty() ? inline_.data() : heap_.data(); }
+  const uint8_t* data() const { return heap_.empty() ? inline_.data() : heap_.data(); }
+  uint8_t* begin() { return data(); }
+  uint8_t* end() { return data() + size(); }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size(); }
+  uint8_t& operator[](size_t i) { return data()[i]; }
+  uint8_t operator[](size_t i) const { return data()[i]; }
+
+  void resize(size_t n, uint8_t fill = 0) {
+    size_t old = size();
+    if (n > kInlineBytes) {
+      if (heap_.empty()) {
+        heap_.assign(inline_.begin(), inline_.begin() + old);
+        inline_size_ = 0;
+      }
+      heap_.resize(n, fill);
+      return;
+    }
+    if (!heap_.empty()) {
+      std::copy_n(heap_.begin(), n, inline_.begin());
+      heap_.clear();
+    } else if (n > old) {
+      std::fill(inline_.begin() + old, inline_.begin() + n, fill);
+    }
+    inline_size_ = static_cast<uint8_t>(n);
+  }
+  void assign(size_t n, uint8_t value) {
+    clear();
+    resize(n, value);
+  }
+  template <std::forward_iterator It>
+  void assign(It first, It last) {
+    clear();
+    resize(static_cast<size_t>(std::distance(first, last)));
+    std::copy(first, last, data());
+  }
+  void clear() {
+    heap_.clear();
+    inline_size_ = 0;
+  }
+  void push_back(uint8_t byte) { resize(size() + 1, byte); }
+  void pop_back() { resize(size() - 1); }
+
+ private:
+  std::vector<uint8_t> heap_;  // holds the bytes when there are more than kInlineBytes
+  std::array<uint8_t, kInlineBytes> inline_{};
+  uint8_t inline_size_ = 0;
+};
 
 struct UchanMsg {
   uint32_t opcode = 0;
@@ -63,7 +125,7 @@ struct UchanMsg {
   // channel can produce without also being a harness bug.
   bool droppable = false;
   std::array<uint64_t, 6> args{};
-  std::vector<uint8_t> inline_data;  // small marshalled payloads
+  MsgPayload inline_data;            // small marshalled payloads
   int32_t buffer_id = -1;            // shared-pool buffer handle, or -1
   uint32_t buffer_len = 0;
   int32_t error = 0;                 // ErrorCode as int, for replies

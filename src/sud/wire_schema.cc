@@ -21,12 +21,12 @@ constexpr MessageSchema Msg(Dir dir, uint32_t opcode, const char* name, Rpc rpc,
   return s;
 }
 
-// kEthUpXmitChain fragments: {le32 pool id, le32 len}. Per-fragment lengths
-// and the chain total are statically capped by the jumbo ceiling; whether a
+// kEthUpXmit fragments: {le32 pool id, le32 len}. Per-fragment lengths and
+// the frame total are statically capped by the jumbo ceiling; whether a
 // length fits ONE pool buffer is dynamic (the runtime's semantic check).
-constexpr RecordSpec XmitChainRecord() {
+constexpr RecordSpec XmitRecord() {
   RecordSpec r{};
-  r.bytes = kXmitChainFragBytes;
+  r.bytes = kXmitFragBytes;
   r.fields[0] = FieldSpec{"pool_id", FieldType::kLe32, 0, 4, 0, 0x7fffffff};
   r.fields[1] = FieldSpec{"len", FieldType::kLe32, 4, 4, 1, kern::kJumboMaxFrameBytes};
   r.num_fields = 2;
@@ -35,13 +35,13 @@ constexpr RecordSpec XmitChainRecord() {
   return r;
 }
 
-// kEthDownNetifRxChain fragments: {le64 iova, le32 len}. The iova has no
-// static bound (whether it maps is the DMA space's semantic check); lengths
-// and the total are capped by the jumbo ceiling — the tighter per-interface
-// MTU bound is dynamic and stays in the proxy.
-constexpr RecordSpec RxChainRecord() {
+// kEthDownNetifRx fragments: {le64 iova, le32 len}. The iova has no static
+// bound (whether it maps is the DMA space's semantic check); lengths and the
+// total are capped by the jumbo ceiling — the tighter per-interface MTU
+// bound is dynamic and stays in the proxy.
+constexpr RecordSpec RxRecord() {
   RecordSpec r{};
-  r.bytes = kNetifRxChainFragBytes;
+  r.bytes = kNetifRxFragBytes;
   r.fields[0] = FieldSpec{"iova", FieldType::kLe64, 0, 8, 0, UINT64_MAX};
   r.fields[1] = FieldSpec{"len", FieldType::kLe32, 8, 4, 1, kern::kJumboMaxFrameBytes};
   r.num_fields = 2;
@@ -98,29 +98,18 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
   {
     MessageSchema s = Msg(Dir::kUp, kEthUpXmit, "eth_xmit", Rpc::kAsync, Lane::kQueue);
     s.droppable = true;
-    s.carries_buffer = true;
-    s.max_buffer_len = kern::kJumboMaxFrameBytes;
-    s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
-    reg[i++] = s;
-  }
-  {
-    MessageSchema s = Msg(Dir::kUp, kEthUpIoctl, "eth_ioctl", Rpc::kSync, Lane::kControl);
-    s.args[0] = ArgSpec{"cmd", UINT32_MAX};
-    reg[i++] = s;
-  }
-  {
-    MessageSchema s =
-        Msg(Dir::kUp, kEthUpXmitChain, "eth_xmit_chain", Rpc::kAsync, Lane::kQueue);
-    s.droppable = true;
-    s.carries_buffer = true;
-    s.max_buffer_len = kern::kJumboMaxFrameBytes;
     s.args[0] = ArgSpec{"queue", kMaxQueueIndex};
     s.args[1] = ArgSpec{"count", kern::kMaxChainFrags};
     s.payload = PayloadKind::kRecords;
     s.count_arg = 1;
     s.min_records = 1;
     s.max_records = kern::kMaxChainFrags;
-    s.record = XmitChainRecord();
+    s.record = XmitRecord();
+    reg[i++] = s;
+  }
+  {
+    MessageSchema s = Msg(Dir::kUp, kEthUpIoctl, "eth_ioctl", Rpc::kSync, Lane::kControl);
+    s.args[0] = ArgSpec{"cmd", UINT32_MAX};
     reg[i++] = s;
   }
   {
@@ -193,8 +182,12 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     MessageSchema s =
         Msg(Dir::kDown, kEthDownNetifRx, "eth_netif_rx", Rpc::kAsync, Lane::kQueue);
     s.droppable = true;
-    s.args[0] = ArgSpec{"iova", UINT64_MAX};
-    s.args[1] = ArgSpec{"len", kern::kJumboMaxFrameBytes};
+    s.args[0] = ArgSpec{"count", kern::kMaxChainFrags};
+    s.payload = PayloadKind::kRecords;
+    s.count_arg = 0;
+    s.min_records = 1;
+    s.max_records = kern::kMaxChainFrags;
+    s.record = RxRecord();
     reg[i++] = s;
   }
   {
@@ -212,18 +205,6 @@ constexpr std::array<MessageSchema, kRegistryCapacity> BuildRegistry() {
     s.min_records = 1;
     s.max_records = kMaxFreeBufferIds;
     s.record = FreeBufferRecord();
-    reg[i++] = s;
-  }
-  {
-    MessageSchema s = Msg(Dir::kDown, kEthDownNetifRxChain, "eth_netif_rx_chain", Rpc::kAsync,
-                          Lane::kQueue);
-    s.droppable = true;
-    s.args[0] = ArgSpec{"count", kern::kMaxChainFrags};
-    s.payload = PayloadKind::kRecords;
-    s.count_arg = 0;
-    s.min_records = 1;
-    s.max_records = kern::kMaxChainFrags;
-    s.record = RxChainRecord();
     reg[i++] = s;
   }
   {
@@ -280,6 +261,49 @@ static_assert(DeviceClassEntries() == kProtoMessageCount,
 static_assert(kRegistryCapacity - DeviceClassEntries() == kGenericMessageCount,
               "generic (safe-pci) message count out of sync");
 
+// Every message is validated at a trust boundary, so the (direction, opcode)
+// lookup is a table, not a registry scan. Opcodes are small: the generic
+// ones sit below kOpDeviceClassBase, the device-class ones just above it.
+constexpr uint32_t kGenericOpcodeSlots = 16;
+constexpr uint32_t kClassOpcodeSlots = 64;
+
+constexpr int OpcodeSlot(uint32_t opcode) {
+  static_assert(kOpDeviceClassBase == kOpDownDeviceClassBase);
+  if (opcode < kGenericOpcodeSlots) {
+    return static_cast<int>(opcode);
+  }
+  if (opcode >= kOpDeviceClassBase && opcode - kOpDeviceClassBase < kClassOpcodeSlots) {
+    return static_cast<int>(kGenericOpcodeSlots + (opcode - kOpDeviceClassBase));
+  }
+  return -1;
+}
+
+using SchemaIndex = std::array<std::array<int8_t, kGenericOpcodeSlots + kClassOpcodeSlots>, 2>;
+
+constexpr bool EveryOpcodeHasASlot() {
+  for (const MessageSchema& s : kRegistry) {
+    if (OpcodeSlot(s.opcode) < 0) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(EveryOpcodeHasASlot(), "a registry opcode falls outside the lookup table");
+
+constexpr SchemaIndex BuildSchemaIndex() {
+  SchemaIndex index{};
+  for (auto& slots : index) {
+    slots.fill(-1);
+  }
+  for (size_t i = 0; i < kRegistry.size(); ++i) {
+    index[static_cast<size_t>(kRegistry[i].dir)][static_cast<size_t>(
+        OpcodeSlot(kRegistry[i].opcode))] = static_cast<int8_t>(i);
+  }
+  return index;
+}
+
+constexpr SchemaIndex kSchemaIndex = BuildSchemaIndex();
+
 uint64_t LoadField(const FieldSpec& f, const uint8_t* record) {
   switch (f.type) {
     case FieldType::kU8:
@@ -296,8 +320,7 @@ uint64_t LoadField(const FieldSpec& f, const uint8_t* record) {
 }
 
 Malform ValidateRecords(const RecordSpec& record, uint32_t min_records, uint32_t max_records,
-                        int8_t count_arg, const UchanMsg& msg,
-                        const std::vector<uint8_t>& payload) {
+                        int8_t count_arg, const UchanMsg& msg, const MsgPayload& payload) {
   if (record.bytes == 0 || payload.size() % record.bytes != 0) {
     return Malform::kPayloadSize;
   }
@@ -354,23 +377,15 @@ const char* MalformName(Malform verdict) {
 }
 
 const MessageSchema* FindSchema(Dir dir, uint32_t opcode) {
-  for (const MessageSchema& s : kRegistry) {
-    if (s.dir == dir && s.opcode == opcode) {
-      return &s;
-    }
-  }
-  return nullptr;
+  int index = SchemaIndexOf(dir, opcode);
+  return index < 0 ? nullptr : &kRegistry[static_cast<size_t>(index)];
 }
 
 const MessageSchema& SchemaAt(size_t index) { return kRegistry[index]; }
 
 int SchemaIndexOf(Dir dir, uint32_t opcode) {
-  for (size_t i = 0; i < kRegistry.size(); ++i) {
-    if (kRegistry[i].dir == dir && kRegistry[i].opcode == opcode) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  int slot = OpcodeSlot(opcode);
+  return slot < 0 ? -1 : kSchemaIndex[static_cast<size_t>(dir)][static_cast<size_t>(slot)];
 }
 
 Malform ValidateStructure(Dir dir, const UchanMsg& msg, uint16_t shard) {
@@ -442,50 +457,43 @@ std::vector<std::pair<std::string, uint64_t>> RejectStats::NonZero() const {
 
 // ---- typed codec ------------------------------------------------------------
 
-void EncodeXmitChain(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
-                     uint32_t total_bytes, UchanMsg* msg) {
-  msg->opcode = kEthUpXmitChain;
+void EncodeXmit(uint16_t queue, std::span<const XmitFrag> frags, UchanMsg* msg) {
+  msg->opcode = kEthUpXmit;
   msg->droppable = true;  // loss-tolerant data plane: fault-injection eligible
   msg->args[0] = queue;
-  msg->args[1] = count;
-  msg->buffer_id = count > 0 ? ids[0] : -1;
-  msg->buffer_len = total_bytes;
-  msg->inline_data.resize(count * kXmitChainFragBytes);
-  for (size_t i = 0; i < count; ++i) {
-    uint8_t* record = msg->inline_data.data() + i * kXmitChainFragBytes;
-    StoreLe32(record, static_cast<uint32_t>(ids[i]));
-    StoreLe32(record + 4, lens[i]);
+  msg->args[1] = frags.size();
+  msg->inline_data.resize(frags.size() * kXmitFragBytes);
+  for (size_t i = 0; i < frags.size(); ++i) {
+    uint8_t* record = msg->inline_data.data() + i * kXmitFragBytes;
+    StoreLe32(record, static_cast<uint32_t>(frags[i].pool_id));
+    StoreLe32(record + 4, frags[i].len);
   }
 }
 
-size_t XmitChainCount(const UchanMsg& msg) {
-  return msg.inline_data.size() / kXmitChainFragBytes;
-}
+size_t XmitFragCount(const UchanMsg& msg) { return msg.inline_data.size() / kXmitFragBytes; }
 
 XmitFrag DecodeXmitFrag(const UchanMsg& msg, size_t index) {
-  const uint8_t* record = msg.inline_data.data() + index * kXmitChainFragBytes;
+  const uint8_t* record = msg.inline_data.data() + index * kXmitFragBytes;
   return XmitFrag{static_cast<int32_t>(LoadLe32(record)), LoadLe32(record + 4)};
 }
 
-void EncodeRxChain(const RxFrag* frags, size_t count, UchanMsg* msg) {
-  msg->opcode = kEthDownNetifRxChain;
+void EncodeNetifRx(std::span<const DmaFrag> frags, UchanMsg* msg) {
+  msg->opcode = kEthDownNetifRx;
   msg->droppable = true;  // loss-tolerant data plane: fault-injection eligible
-  msg->args[0] = count;
-  msg->inline_data.resize(count * kNetifRxChainFragBytes);
-  for (size_t i = 0; i < count; ++i) {
-    uint8_t* record = msg->inline_data.data() + i * kNetifRxChainFragBytes;
+  msg->args[0] = frags.size();
+  msg->inline_data.resize(frags.size() * kNetifRxFragBytes);
+  for (size_t i = 0; i < frags.size(); ++i) {
+    uint8_t* record = msg->inline_data.data() + i * kNetifRxFragBytes;
     StoreLe64(record, frags[i].iova);
     StoreLe32(record + 8, frags[i].len);
   }
 }
 
-size_t RxChainCount(const UchanMsg& msg) {
-  return msg.inline_data.size() / kNetifRxChainFragBytes;
-}
+size_t RxFragCount(const UchanMsg& msg) { return msg.inline_data.size() / kNetifRxFragBytes; }
 
-RxFrag DecodeRxFrag(const UchanMsg& msg, size_t index) {
-  const uint8_t* record = msg.inline_data.data() + index * kNetifRxChainFragBytes;
-  return RxFrag{LoadLe64(record), LoadLe32(record + 8)};
+DmaFrag DecodeRxFrag(const UchanMsg& msg, size_t index) {
+  const uint8_t* record = msg.inline_data.data() + index * kNetifRxFragBytes;
+  return DmaFrag{LoadLe64(record), LoadLe32(record + 8)};
 }
 
 void EncodeFreeBuffers(const int32_t* ids, size_t count, UchanMsg* msg) {
@@ -525,8 +533,7 @@ std::vector<uint32_t> DecodeBitrates(const UchanMsg& msg) {
   return rates;
 }
 
-void EncodeScanResults(const std::vector<kern::ScanResult>& results,
-                       std::vector<uint8_t>* out) {
+void EncodeScanResults(const std::vector<kern::ScanResult>& results, MsgPayload* out) {
   for (const kern::ScanResult& r : results) {
     size_t off = out->size();
     out->resize(off + kWifiScanRecordBytes, 0);
@@ -538,7 +545,7 @@ void EncodeScanResults(const std::vector<kern::ScanResult>& results,
   }
 }
 
-std::vector<kern::ScanResult> DecodeScanResults(const std::vector<uint8_t>& payload) {
+std::vector<kern::ScanResult> DecodeScanResults(const MsgPayload& payload) {
   std::vector<kern::ScanResult> results;
   for (size_t off = 0; off + kWifiScanRecordBytes <= payload.size();
        off += kWifiScanRecordBytes) {

@@ -29,11 +29,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/kern/wireless.h"
+#include "src/sud/dma_space.h"
 #include "src/sud/proto.h"
 #include "src/sud/safe_pci.h"
 #include "src/sud/uchan.h"
@@ -75,7 +77,7 @@ struct RecordSpec {
   std::array<FieldSpec, kMaxRecordFields> fields{};
   uint8_t num_fields = 0;
   // If >= 0: index of the field whose values, summed over every record, must
-  // not exceed sum_max (the xmit/rx chains' static total-frame ceiling).
+  // not exceed sum_max (the xmit/netif_rx static total-frame ceiling).
   int8_t sum_field = -1;
   uint64_t sum_max = 0;
 };
@@ -196,29 +198,24 @@ class RejectStats {
 // malicious driver asks for (over-cap chains, criminal totals): honesty lives
 // at the receiving boundary's validator, not in the sender's marshaller.
 
+// A plain record (no member initializers): the transmit stager fills a
+// fixed scratch array of these per packet, up to the records it stages.
 struct XmitFrag {
-  int32_t pool_id = 0;
-  uint32_t len = 0;
+  int32_t pool_id;
+  uint32_t len;
 };
 
-struct RxFrag {
-  uint64_t iova = 0;
-  uint32_t len = 0;
-};
-
-// kEthUpXmitChain: args[0] = TX queue, args[1] = count, one 8-byte
-// {le32 pool id, le32 len} record per fragment; buffer_id/buffer_len carry
-// the head fragment and the frame total for the staging bookkeeping.
-void EncodeXmitChain(uint16_t queue, const int32_t* ids, const uint32_t* lens, size_t count,
-                     uint32_t total_bytes, UchanMsg* msg);
-size_t XmitChainCount(const UchanMsg& msg);
+// kEthUpXmit: args[0] = TX queue, args[1] = count, one 8-byte
+// {le32 pool id, le32 len} record per fragment.
+void EncodeXmit(uint16_t queue, std::span<const XmitFrag> frags, UchanMsg* msg);
+size_t XmitFragCount(const UchanMsg& msg);
 XmitFrag DecodeXmitFrag(const UchanMsg& msg, size_t index);
 
-// kEthDownNetifRxChain: args[0] = count, one 12-byte {le64 iova, le32 len}
+// kEthDownNetifRx: args[0] = count, one 12-byte {le64 iova, le32 len}
 // record per fragment.
-void EncodeRxChain(const RxFrag* frags, size_t count, UchanMsg* msg);
-size_t RxChainCount(const UchanMsg& msg);
-RxFrag DecodeRxFrag(const UchanMsg& msg, size_t index);
+void EncodeNetifRx(std::span<const DmaFrag> frags, UchanMsg* msg);
+size_t RxFragCount(const UchanMsg& msg);
+DmaFrag DecodeRxFrag(const UchanMsg& msg, size_t index);
 
 // kEthDownFreeBuffer, unified layout: args[0] = id count, one 4-byte le32
 // buffer id per record — a single completion is simply a batch of one (the
@@ -236,9 +233,8 @@ std::vector<uint32_t> DecodeBitrates(const UchanMsg& msg);
 
 // kWifiUpScan reply records: 6 (bssid) + 1 (channel) + 1 (signal) + 32
 // (ssid, NUL-padded; truncated to 31 so the last byte stays NUL).
-void EncodeScanResults(const std::vector<kern::ScanResult>& results,
-                       std::vector<uint8_t>* out);
-std::vector<kern::ScanResult> DecodeScanResults(const std::vector<uint8_t>& payload);
+void EncodeScanResults(const std::vector<kern::ScanResult>& results, MsgPayload* out);
+std::vector<kern::ScanResult> DecodeScanResults(const MsgPayload& payload);
 
 }  // namespace sud::wire
 

@@ -1,5 +1,7 @@
 #include "src/uml/direct_env.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/base/log.h"
@@ -40,65 +42,29 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
       return Status(ErrorCode::kUnavailable, "no xmit op");
     }
     CpuModel& cpu = env_->kernel_->machine().cpu();
-    if (!skb.is_linear()) {
-      if (env_->net_ops_.sg && env_->net_ops_.xmit_chain &&
-          ChainRecords(skb) <= kern::kMaxChainFrags) {
-        return XmitChain(skb, queue);
-      }
+    size_t max_frags = env_->net_ops_.sg ? kern::kMaxChainFrags : 1;
+    if (!skb.is_linear() && (!env_->net_ops_.sg || ChainRecords(skb) > max_frags)) {
       // Linearize fallback: non-SG drivers always, and frag geometries that
       // would burst the chain cap (the real stack linearizes skbs over
       // MAX_SKB_FRAGS the same way) — one charged full-frame pass, the copy
-      // the SG chain deletes.
+      // the SG chain deletes. A frame too big to linearize stays as it is and
+      // fails the check below.
       cpu.ChargeBytes(env_->account_, cpu.costs().per_byte_copy, skb.total_len());
-      if (!skb.Linearize(kTxBounceBytes)) {
-        return Status(ErrorCode::kInvalidArgument, "frame exceeds bounce buffer");
-      }
-      if (env_->netdev_ != nullptr) {
+      if (skb.Linearize(kTxBounceBytes * max_frags) && env_->netdev_ != nullptr) {
         env_->netdev_->stats().tx_linearized++;
       }
     }
-    // In-kernel transmit: the driver DMA-maps the skb and points the device
-    // at it. Modelled as a bounce-buffer copy charged at dma_map cost (a
-    // constant), not a per-byte copy — the baseline must not pay SUD's
-    // copy-to-shared-buffer price.
-    Result<uint64_t> bounce = env_->AcquireTxBounce();
-    if (!bounce.ok()) {
-      return bounce.status();
+    if (ChainRecords(skb) > max_frags) {
+      return Status(ErrorCode::kInvalidArgument, "frame exceeds bounce buffer");
     }
-    Result<ByteSpan> view = env_->dma_->HostView(bounce.value(), kTxBounceBytes);
-    if (!view.ok()) {
-      return view.status();
-    }
-    size_t len = std::min<size_t>(skb.data_len(), kTxBounceBytes);
-    std::memcpy(view.value().data(), skb.data(), len);
-    cpu.Charge(env_->account_, cpu.costs().dma_map);
-    return env_->net_ops_.xmit(bounce.value(), static_cast<uint32_t>(len), -1, queue);
-  }
-
-  // Bounce slots the skb's geometry would map (each segment chunked by the
-  // slot size) — the XmitChain-vs-linearize decision input.
-  static size_t ChainRecords(const kern::Skb& skb) {
-    size_t records = (skb.data_len() + kTxBounceBytes - 1) / kTxBounceBytes;
-    for (size_t i = 0; i < skb.nr_frags(); ++i) {
-      records += (skb.tx_frag(i).size() + kTxBounceBytes - 1) / kTxBounceBytes;
-    }
-    return records;
-  }
-
-  // Scatter/gather transmit, in-kernel: each segment (head, then every frag)
-  // is DMA-mapped as its own bounce slot and charged one dma_map — exactly
-  // how the real driver skb_frag_dma_maps a frag list, with no linearize and
-  // no per-byte staging pass.
-  Status XmitChain(const kern::Skb& skb, uint16_t queue) {
-    CpuModel& cpu = env_->kernel_->machine().cpu();
-    std::vector<uml::TxFrag> frags;
-    frags.reserve(1 + skb.nr_frags());
+    // In-kernel transmit: the driver DMA-maps each segment (head, then every
+    // frag) and points one descriptor at each — modelled as one bounce slot
+    // per chunk, charged one dma_map (a constant), not a per-byte copy: the
+    // baseline must not pay SUD's copy-to-shared-buffer price.
+    std::array<TxFrag, kern::kMaxChainFrags> frags;
+    size_t count = 0;
     auto map_segment = [&](ConstByteSpan segment) -> Status {
-      size_t off = 0;
-      while (off < segment.size()) {
-        if (frags.size() >= kern::kMaxChainFrags) {
-          return Status(ErrorCode::kInvalidArgument, "frame exceeds the chain cap");
-        }
+      for (size_t off = 0; off < segment.size(); off += kTxBounceBytes) {
         size_t chunk = std::min<size_t>(segment.size() - off, kTxBounceBytes);
         Result<uint64_t> bounce = env_->AcquireTxBounce();
         if (!bounce.ok()) {
@@ -110,8 +76,7 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
         }
         std::memcpy(view.value().data(), segment.data() + off, chunk);
         cpu.Charge(env_->account_, cpu.costs().dma_map);
-        frags.push_back(uml::TxFrag{bounce.value(), static_cast<uint32_t>(chunk), -1});
-        off += chunk;
+        frags[count++] = TxFrag{bounce.value(), static_cast<uint32_t>(chunk), -1};
       }
       return Status::Ok();
     };
@@ -119,10 +84,20 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     for (size_t i = 0; i < skb.nr_frags(); ++i) {
       SUD_RETURN_IF_ERROR(map_segment(skb.tx_frag(i)));
     }
-    if (frags.empty()) {
+    if (count == 0) {
       return Status(ErrorCode::kInvalidArgument, "empty frame");
     }
-    return env_->net_ops_.xmit_chain(frags, queue);
+    return env_->net_ops_.xmit(std::span<const TxFrag>(frags.data(), count), queue);
+  }
+
+  // Bounce slots the skb's geometry would map (each segment chunked by the
+  // slot size) — the map-vs-linearize decision input.
+  static size_t ChainRecords(const kern::Skb& skb) {
+    size_t records = (skb.data_len() + kTxBounceBytes - 1) / kTxBounceBytes;
+    for (size_t i = 0; i < skb.nr_frags(); ++i) {
+      records += (skb.tx_frag(i).size() + kTxBounceBytes - 1) / kTxBounceBytes;
+    }
+    return records;
   }
 
  public:
@@ -366,45 +341,27 @@ Status DirectEnv::RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) {
   return Status::Ok();
 }
 
-Status DirectEnv::NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue) {
+Status DirectEnv::NetifRx(std::span<const DmaFrag> frags, uint16_t queue) {
   if (netdev_ == nullptr) {
     return Status(ErrorCode::kUnavailable, "netdev not registered");
   }
-  Result<ByteSpan> view = dma_->HostView(frame_iova, len);
-  if (!view.ok()) {
-    return view.status();
-  }
-  CpuModel& cpu = kernel_->machine().cpu();
-  cpu.ChargeBytes(account_, cpu.costs().per_byte_checksum, len);
-  cpu.Charge(account_, cpu.costs().skb_alloc + cpu.costs().stack_work_per_pkt);
-  auto skb = kern::MakeSkb(ConstByteSpan(view.value().data(), len));
-  return kernel_->net().NetifRx(netdev_, std::move(skb), queue);
-}
-
-Status DirectEnv::NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue) {
-  if (netdev_ == nullptr) {
-    return Status(ErrorCode::kUnavailable, "netdev not registered");
-  }
-  // In-kernel reassembly of an EOP descriptor chain: frag-append each chunk
-  // into one skb. Even the trusted baseline bounds the total — the chain
-  // came out of descriptor memory a faulty device could have corrupted.
+  // In-kernel assembly of the frame into one skb. Even the trusted baseline
+  // bounds the total — an EOP chain came out of descriptor memory a faulty
+  // device could have corrupted.
   auto skb = std::make_unique<kern::Skb>();
-  uint64_t total = 0;
   for (const DmaFrag& frag : frags) {
     Result<ByteSpan> view = dma_->HostView(frag.iova, frag.len);
     if (!view.ok()) {
       return view.status();
     }
-    if (!skb->AppendFrag(ConstByteSpan(view.value().data(), frag.len),
-                         netdev_->max_frame_bytes())) {
+    if (!skb->AppendFrag(view.value(), netdev_->max_frame_bytes())) {
       netdev_->stats().rx_dropped++;
       netdev_->stats().driver_errors++;
-      return Status(ErrorCode::kInvalidArgument, "chained frame exceeds interface maximum");
+      return Status(ErrorCode::kInvalidArgument, "frame exceeds interface maximum");
     }
-    total += frag.len;
   }
   CpuModel& cpu = kernel_->machine().cpu();
-  cpu.ChargeBytes(account_, cpu.costs().per_byte_checksum, total);
+  cpu.ChargeBytes(account_, cpu.costs().per_byte_checksum, skb->data_len());
   cpu.Charge(account_, cpu.costs().skb_alloc + cpu.costs().stack_work_per_pkt);
   return kernel_->net().NetifRx(netdev_, std::move(skb), queue);
 }

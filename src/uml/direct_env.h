@@ -54,8 +54,7 @@ class DirectEnv : public DriverEnv {
   Status FreeIrq() override;
   Status InterruptAck() override { return Status::Ok(); }  // in-kernel: nothing to unmask
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
-  Status NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue = 0) override;
-  Status NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue = 0) override;
+  Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
   void FreeTxBuffer(int32_t pool_buffer_id) override;

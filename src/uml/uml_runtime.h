@@ -32,6 +32,7 @@
 #include <string>
 
 #include "src/kern/kernel.h"
+#include "src/kern/net_limits.h"
 #include "src/sud/proto.h"
 #include "src/sud/safe_pci.h"
 #include "src/sud/wire_schema.h"
@@ -63,12 +64,11 @@ class UmlRuntime : public DriverEnv {
   Status FreeIrq() override;
   Status InterruptAck() override;
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
-  Status NetifRx(uint64_t frame_iova, uint32_t len, uint16_t queue = 0) override;
-  Status NetifRxChain(const std::vector<DmaFrag>& frags, uint16_t queue = 0) override;
+  Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
   void FreeTxBuffer(int32_t pool_buffer_id) override;
-  void FreeTxBuffers(uint16_t queue, const std::vector<int32_t>& pool_buffer_ids) override;
+  void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) override;
   Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) override;
   void WifiBssChange(bool associated) override;
   void WifiSetBitrates(const std::vector<uint32_t>& rates) override;
@@ -110,10 +110,10 @@ class UmlRuntime : public DriverEnv {
     std::atomic<uint64_t> inline_dispatches{0};
     std::atomic<uint64_t> unknown_upcalls{0};
     std::atomic<uint64_t> rx_batches_flushed{0};  // netif_rx arrays handed to the kernel
-    std::atomic<uint64_t> xmit_chain_upcalls{0};  // scatter/gather transmits dispatched
-    // Malformed kEthUpXmitChain messages (count/payload mismatch, bogus pool
-    // ids, over-cap or oversize records) rejected before any DMA arming.
-    std::atomic<uint64_t> xmit_chains_rejected{0};
+    std::atomic<uint64_t> xmit_upcalls{0};        // transmits dispatched to the driver
+    // Malformed kEthUpXmit messages (count/payload mismatch, bogus pool ids,
+    // over-cap or oversize records) rejected before any DMA arming.
+    std::atomic<uint64_t> xmit_rejected{0};
     // Pump passes swallowed by the "uml.pump.stall.qN" fault sites (the
     // injected wedge the supervisor's watchdog must detect).
     std::atomic<uint64_t> injected_pump_stalls{0};
@@ -126,7 +126,7 @@ class UmlRuntime : public DriverEnv {
 
   // Structural (wire-schema) rejections at the upcall boundary, per message.
   // Semantic rejections (unresolvable pool ids, oversize-for-pool lengths)
-  // keep their historical counters (xmit_chains_rejected above).
+  // count in xmit_rejected above.
   const wire::RejectStats& wire_rejects() const { return wire_rejects_; }
 
   // Per-queue driver heartbeat: upcalls serviced on each shard. The
@@ -165,15 +165,16 @@ class UmlRuntime : public DriverEnv {
   std::function<void()> irq_handler_;
   std::function<void(uint16_t)> irq_queue_handler_;
   uint32_t rx_batch_depth_ = 64;
-  // Joins a built netif_rx(_chain) message carrying `frame_bytes` of packet
-  // data to queue `queue`'s pending array, flushing at the depth/byte budget.
-  Status QueueRxDowncall(UchanMsg msg, uint16_t queue, uint64_t frame_bytes);
 
   // Accumulated netif_rx downcalls, one array per queue: worker thread q
   // touches only slot q. rx_pending_bytes_ tracks the packet payload the
   // array references (the bundle byte budget).
   std::array<std::vector<UchanMsg>, kSudMaxQueues> rx_pending_;
   std::array<uint64_t, kSudMaxQueues> rx_pending_bytes_{};
+  // Per-shard decode scratch for xmit upcalls (only ever touched from that
+  // shard's pump thread): the fragment list handed to the driver, kept here
+  // so the per-packet path does not initialize a chain-cap-sized array.
+  std::array<std::array<TxFrag, kern::kMaxChainFrags>, kSudMaxQueues> xmit_frags_{};
   NetDriverOps net_ops_;
   bool net_registered_ = false;
   WifiDriverOps wifi_ops_;

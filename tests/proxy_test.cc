@@ -391,19 +391,34 @@ class WifiProxyBench {
 // counted, no unseal — in both windows: dropped while the driver is dead
 // (context revoked) and dropped after a successor rebound (epoch moved on).
 // Unsealing either way would write-enable a page the dying epoch no longer
-// owns.
-TEST(SealedDeliveryTest, HeldSkbAcrossRestartQuarantinesInsteadOfUnsealing) {
+// owns. The parameter is the payload size: a one-record frame is sealed in
+// place; a jumbo frame over 4 KB per-queue buffers crosses as a multi-record
+// EOP chain, which always takes the guard copy — a private skb with nothing
+// sealed and nothing to quarantine.
+class SealedDeliveryTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SealedDeliveryTest, HeldSkbAcrossRestartQuarantinesInsteadOfUnsealing) {
+  size_t payload_bytes = GetParam();
+  bool chain = payload_bytes > kern::kStdMtu;
+  uint64_t sealed_per_frame = chain ? 0 : 1;
   NetBench::Options options;
   options.proxy.sealed_delivery = true;
+  if (chain) {
+    options.nic_queues = 4;
+    options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
+    options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  }
   NetBench bench(options);
   ASSERT_TRUE(bench.StartSut().ok());
   bench.proxy->set_hold_rx_for_test(true);
-  std::vector<uint8_t> payload(128, 0x5a);
+  std::vector<uint8_t> payload(payload_bytes, 0x5a);
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(bench.PeerSend(30000, 80, {payload.data(), payload.size()}).ok());
     bench.host->Pump();
   }
-  EXPECT_EQ(bench.proxy->stats().sealed_deliveries.load(), 2u);
+  EXPECT_EQ(bench.proxy->stats().sealed_deliveries.load(), 2 * sealed_per_frame);
+  EXPECT_EQ(bench.proxy->stats().sealed_fallback_copies.load(), 0u);
+  EXPECT_EQ(bench.sut_driver->stats().rx_chains.load(), chain ? 2u : 0u);
   std::vector<kern::SkbPtr> held = bench.proxy->TakeHeldRx();
   ASSERT_EQ(held.size(), 2u);
 
@@ -412,24 +427,31 @@ TEST(SealedDeliveryTest, HeldSkbAcrossRestartQuarantinesInsteadOfUnsealing) {
   // must count a quarantine, not fault trying to unseal.
   uint64_t q_before = bench.proxy->stats().sealed_quarantined.load();
   held.pop_back();
-  EXPECT_EQ(bench.proxy->stats().sealed_quarantined.load(), q_before + 1);
+  EXPECT_EQ(bench.proxy->stats().sealed_quarantined.load(), q_before + sealed_per_frame);
 
   (void)bench.kernel.net().BringDown("eth0");
-  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>()).ok());
+  ASSERT_TRUE(bench.host
+                  ->Start(std::make_unique<drivers::E1000eDriver>(options.nic_queues,
+                                                                 options.mtu))
+                  .ok());
   ASSERT_TRUE(bench.kernel.net().BringUp("eth0").ok());
   // Window 2: a successor owns the address space (fresh bind generation,
   // possibly the very same iovas). The dying epoch's release must not
   // write-enable the new epoch's pages.
   held.clear();
-  EXPECT_EQ(bench.proxy->stats().sealed_quarantined.load(), q_before + 2);
+  EXPECT_EQ(bench.proxy->stats().sealed_quarantined.load(), q_before + 2 * sealed_per_frame);
 
-  // The successor's sealed path is whole.
+  // The successor's delivery path is whole.
   bench.proxy->set_hold_rx_for_test(false);
   uint64_t delivered_before = bench.proxy->stats().sealed_deliveries.load();
+  uint64_t rx_before = bench.kernel.net().Find("eth0")->stats().rx_packets.load();
   ASSERT_TRUE(bench.PeerSend(30001, 80, {payload.data(), payload.size()}).ok());
   bench.host->Pump();
-  EXPECT_EQ(bench.proxy->stats().sealed_deliveries.load(), delivered_before + 1);
+  EXPECT_EQ(bench.proxy->stats().sealed_deliveries.load(), delivered_before + sealed_per_frame);
+  EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets.load(), rx_before + 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(FrameShapes, SealedDeliveryTest, ::testing::Values(128, 6000));
 
 // TX grants are pool-tracked in-flight work: a crash with grants outstanding
 // must quarantine them like staged buffers, the successor must see a whole

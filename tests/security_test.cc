@@ -347,8 +347,19 @@ TEST(Security, ToctouFirewallBypassWorksWithoutGuardCopy) {
   EXPECT_EQ(delivered_to_22, 1);
 }
 
-TEST(Security, ToctouFirewallBypassDefeatedByGuardCopy) {
-  NetBench bench;  // default: guard copy on
+// The frame crosses as a one-record list (one RX buffer) or, with jumbo
+// frames over 4 KB per-queue buffers, as a multi-record EOP chain.
+class ToctouGuardCopyTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ToctouGuardCopyTest, FirewallBypassDefeatedByGuardCopy) {
+  size_t payload_bytes = GetParam();
+  NetBench::Options options;  // default: guard copy on
+  if (payload_bytes > kern::kStdMtu) {
+    options.nic_queues = 4;
+    options.mtu = static_cast<uint32_t>(kern::kJumboMtu);
+    options.peer_mtu = static_cast<uint32_t>(kern::kJumboMtu);
+  }
+  NetBench bench(options);
   ASSERT_TRUE(bench.StartSut().ok());
   bench.kernel.net().firewall().DenyPort(22);
 
@@ -363,13 +374,16 @@ TEST(Security, ToctouFirewallBypassDefeatedByGuardCopy) {
   bench.proxy->set_toctou_hook(
       [](ByteSpan shared) { kern::RewriteDstPortFixup(shared, 22); });
 
-  std::vector<uint8_t> payload(32, 0x9);
+  std::vector<uint8_t> payload(payload_bytes, 0x9);
   ASSERT_TRUE(bench.PeerSend(1, 80, {payload.data(), payload.size()}).ok());
   bench.host->Pump();
   // The kernel checked and delivered its own copy: port 80, not 22.
   EXPECT_EQ(delivered_to_22, 0);
   EXPECT_EQ(delivered_total, 1);
+  EXPECT_EQ(bench.sut_driver->stats().rx_chains, payload_bytes > kern::kStdMtu ? 1u : 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(FrameShapes, ToctouGuardCopyTest, ::testing::Values(32, 6000));
 
 // ---- driver-initiated interface abuse ---------------------------------------------
 
@@ -399,18 +413,23 @@ TEST(Security, UngrantedIoPortsAreDenied) {
   EXPECT_EQ(attack_ptr->denied(), 6u);
 }
 
-TEST(Security, BogusNetifRxAddressesAreRejected) {
+// The RX rejection tests below take the fragment count of the forged list
+// as a parameter: a one-record list and a multi-record list must meet the
+// same validation.
+class RxRejectTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RxRejectTest, BogusNetifRxAddressesAreRejected) {
   NetBench bench;
   auto attack = std::make_unique<drivers::BogusRxDriver>();
   auto* attack_ptr = attack.get();
   ASSERT_TRUE(bench.host->Start(std::move(attack)).ok());
 
-  Result<int> accepted = attack_ptr->Fire(20);
+  Result<int> accepted = attack_ptr->Fire(20, GetParam());
   ASSERT_TRUE(accepted.ok());
   bench.host->Pump();  // flush the batched downcalls into the proxy
   // Every wild address/length was rejected at validation; nothing reached
   // the stack.
-  EXPECT_EQ(bench.proxy->stats().rx_bad_buffer_id, 20u);
+  EXPECT_EQ(bench.proxy->stats().rx_rejected, 20u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
 
@@ -431,8 +450,10 @@ TEST(Security, ResourceHogStopsAtRlimit) {
 
 // Forged EOP-chain downcalls (oversize totals, over-cap fragment counts,
 // fragments outside the driver's DMA space): the proxy rejects every one
-// before dereferencing a byte, and nothing reaches the stack.
-TEST(Security, ForgedChainDowncallsAreRejected) {
+// before dereferencing a byte, and nothing reaches the stack. The wild list
+// is the parameter's length: a lone wild fragment, or a torn chain whose
+// last fragment is wild.
+TEST_P(RxRejectTest, ForgedChainDowncallsAreRejected) {
   NetBench bench;
   auto attack = std::make_unique<drivers::ChainAttackDriver>();
   auto* attack_ptr = attack.get();
@@ -440,50 +461,52 @@ TEST(Security, ForgedChainDowncallsAreRejected) {
 
   ASSERT_TRUE(attack_ptr->FireOversizeChains(6).ok());
   ASSERT_TRUE(attack_ptr->FireOverCapChains(6).ok());
-  ASSERT_TRUE(attack_ptr->FireWildChains(6).ok());
+  ASSERT_TRUE(attack_ptr->FireWildChains(6, GetParam()).ok());
   bench.host->Pump();
-  EXPECT_EQ(bench.proxy->stats().rx_chain_downcalls, 18u);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_chain, 18u);
+  EXPECT_EQ(bench.proxy->stats().rx_downcalls, 18u);
+  EXPECT_EQ(bench.proxy->stats().rx_rejected, 18u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
 
-// A chain message whose advertised fragment count disagrees with its payload
-// (a hand-rolled malicious runtime, below even the attack driver's API) is
-// rejected by the count/payload cross-check.
-TEST(Security, ChainCountMismatchIsRejected) {
+// A netif_rx message whose advertised fragment count disagrees with its
+// payload (a hand-rolled malicious runtime, below even the attack driver's
+// API) is rejected by the count/payload cross-check.
+TEST_P(RxRejectTest, ChainCountMismatchIsRejected) {
   NetBench bench;
   auto attack = std::make_unique<drivers::ChainAttackDriver>();
   ASSERT_TRUE(bench.host->Start(std::move(attack)).ok());
 
+  std::vector<DmaFrag> frags(GetParam(), DmaFrag{0x42430000ull, 256});
   UchanMsg msg;
-  msg.opcode = kEthDownNetifRxChain;
-  msg.args[0] = 7;                       // claims seven fragments...
-  msg.inline_data.resize(2 * kNetifRxChainFragBytes);  // ...carries two
-  StoreLe64(msg.inline_data.data(), 0x42430000ull);
-  StoreLe32(msg.inline_data.data() + 8, 256);
-  StoreLe64(msg.inline_data.data() + 12, 0x42430000ull);
-  StoreLe32(msg.inline_data.data() + 20, 256);
+  wire::EncodeNetifRx(frags, &msg);
+  msg.args[0] = 7;  // claims seven fragments
   Status status = bench.ctx->ctl().DowncallSync(msg);
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_chain, 1u);
+  EXPECT_EQ(bench.proxy->stats().rx_rejected, 1u);
 }
 
 // The receive length bound follows the INTERFACE's declared MTU, not the
 // global jumbo ceiling: a driver that registered a standard-MTU interface
-// cannot push jumbo-sized netif_rx lengths through the proxy.
-TEST(Security, JumboLengthsRejectedOnStandardMtuInterface) {
+// cannot push jumbo-sized netif_rx lengths through the proxy, whether the
+// length sits in one record or is spread across several.
+TEST_P(RxRejectTest, JumboLengthsRejectedOnStandardMtuInterface) {
   NetBench bench;  // e1000e at the default 1500-byte MTU
   ASSERT_TRUE(bench.StartSut().ok());
 
+  size_t count = GetParam();
+  uint32_t part = static_cast<uint32_t>(kern::kJumboMaxFrameBytes / count);
+  // Perfectly valid driver iovas, with a jumbo total length.
+  std::vector<DmaFrag> frags(count, DmaFrag{0x42430000ull, part});
+  frags.back().len += static_cast<uint32_t>(kern::kJumboMaxFrameBytes % count);
   UchanMsg msg;
-  msg.opcode = kEthDownNetifRx;
-  msg.args[0] = 0x42430000ull;  // a perfectly valid driver iova
-  msg.args[1] = kern::kJumboMaxFrameBytes;  // ...with a jumbo length
+  wire::EncodeNetifRx(frags, &msg);
   Status status = bench.ctx->ctl().DowncallSync(msg);
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
-  EXPECT_EQ(bench.proxy->stats().rx_bad_buffer_id, 1u);
+  EXPECT_EQ(bench.proxy->stats().rx_rejected, 1u);
   EXPECT_EQ(bench.kernel.net().Find("eth0")->stats().rx_packets, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(FragmentCounts, RxRejectTest, ::testing::Values(1, 3));
 
 // RETA starvation with nothing armed: every flow concentrates on the victim
 // queue, whose BOUNDED backlog absorbs then drops — the other queues stay
@@ -594,24 +617,24 @@ TEST(Security, OverCapTxChainDropsWholeAndResyncs) {
   EXPECT_EQ(wire.frames[0], std::vector<uint8_t>(64, 0xa3));
 }
 
-// Forged kEthUpXmitChain messages (count/payload mismatch, bogus pool ids,
+// Forged kEthUpXmit messages (count/payload mismatch, bogus pool ids,
 // fragment lengths above one staging buffer, oversize totals): the runtime
 // re-validates every record against the pool and rejects the message before
 // a single descriptor is armed.
-TEST(Security, ForgedXmitChainUpcallsRejectedBeforeArming) {
+TEST(Security, ForgedXmitUpcallsRejectedBeforeArming) {
   NetBench bench;
   ASSERT_TRUE(bench.StartSut().ok());
 
   auto forge = [&](uint64_t claimed,
                    std::vector<std::pair<uint32_t, uint32_t>> records) {
     UchanMsg msg;
-    msg.opcode = kEthUpXmitChain;
+    msg.opcode = kEthUpXmit;
     msg.args[0] = 0;
     msg.args[1] = claimed;
-    msg.inline_data.resize(records.size() * kXmitChainFragBytes);
+    msg.inline_data.resize(records.size() * kXmitFragBytes);
     for (size_t i = 0; i < records.size(); ++i) {
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes, records[i].first);
-      StoreLe32(msg.inline_data.data() + i * kXmitChainFragBytes + 4, records[i].second);
+      StoreLe32(msg.inline_data.data() + i * kXmitFragBytes, records[i].first);
+      StoreLe32(msg.inline_data.data() + i * kXmitFragBytes + 4, records[i].second);
     }
     ASSERT_TRUE(bench.ctx->ctl().SendAsync(std::move(msg)).ok());
   };
@@ -622,8 +645,8 @@ TEST(Security, ForgedXmitChainUpcallsRejectedBeforeArming) {
   forge(1, {{0, 0}});                  // zero-length fragment
   bench.host->Pump();
 
-  EXPECT_EQ(bench.host->runtime()->stats().xmit_chains_rejected, 5u);
-  EXPECT_EQ(bench.host->runtime()->stats().xmit_chain_upcalls, 0u);
+  EXPECT_EQ(bench.host->runtime()->stats().xmit_rejected, 5u);
+  EXPECT_EQ(bench.host->runtime()->stats().xmit_upcalls, 0u);
   EXPECT_EQ(bench.sut_nic.stats().tx_frames, 0u);
   EXPECT_EQ(bench.sut_driver->stats().tx_queued, 0u);
 }

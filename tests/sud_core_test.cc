@@ -81,6 +81,28 @@ TEST_F(DmaSpaceTest, ReleaseAllReclaimsEverything) {
   EXPECT_EQ(space_->regions().size(), 0u);
 }
 
+// The bump allocator runs into the MSI doorbell window after enough sealed-TX
+// grants; neither Alloc nor MapExternal may hand out an IOVA inside it.
+TEST_F(DmaSpaceTest, AllocationsSkipTheMsiRange) {
+  uint64_t base = hw::kMsiRangeBase - 2 * hw::kPageSize;
+  space_ = std::make_unique<DmaSpace>(&dram_, &iommu_, kSrc, base);
+  uint64_t external = dram_.AllocPages(2).value();
+  std::vector<DmaRegion> regions;
+  regions.push_back(space_->Alloc(4096, true).value());      // fits below the range
+  regions.push_back(space_->Alloc(8192, false).value());     // would straddle it
+  regions.push_back(space_->MapExternal(external, 8192).value());
+  regions.push_back(space_->Alloc(4096, false).value());
+  EXPECT_EQ(regions[0].iova, base);
+  for (const DmaRegion& region : regions) {
+    EXPECT_TRUE(region.iova + region.bytes <= hw::kMsiRangeBase ||
+                region.iova >= hw::kMsiRangeBase + hw::kMsiRangeSize)
+        << std::hex << region.iova;
+    EXPECT_TRUE(space_->HostView(region.iova, region.bytes).ok()) << std::hex << region.iova;
+  }
+  space_.reset();
+  dram_.FreePages(external, 2);
+}
+
 class PoolTest : public DmaSpaceTest {
  protected:
   PoolTest() : pool_(space_.get(), /*count=*/8, /*buffer_bytes=*/512) {

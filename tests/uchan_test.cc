@@ -20,6 +20,30 @@ Uchan::Config FastConfig() {
   return config;
 }
 
+// The message payload keeps short payloads inline and spills longer ones to
+// the heap; its contents must survive every crossing of that boundary.
+TEST(MsgPayload, ContentsSurviveInlineHeapTransitions) {
+  MsgPayload payload;
+  std::vector<uint8_t> expect;
+  for (uint8_t b = 0; b < 40; ++b) {  // grows across the inline capacity
+    payload.push_back(b);
+    expect.push_back(b);
+    ASSERT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()), expect);
+  }
+  payload.resize(MsgPayload::kInlineBytes - 4);  // shrinks back inline
+  expect.resize(MsgPayload::kInlineBytes - 4);
+  EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()), expect);
+  payload.resize(MsgPayload::kInlineBytes + 1, 0xee);  // spills again, filled
+  expect.resize(MsgPayload::kInlineBytes + 1, 0xee);
+  EXPECT_EQ(std::vector<uint8_t>(payload.begin(), payload.end()), expect);
+  MsgPayload moved = std::move(payload);
+  EXPECT_EQ(std::vector<uint8_t>(moved.begin(), moved.end()), expect);
+  moved.assign(3, 0x5a);
+  EXPECT_EQ(std::vector<uint8_t>(moved.begin(), moved.end()), std::vector<uint8_t>(3, 0x5a));
+  moved.clear();
+  EXPECT_TRUE(moved.empty());
+}
+
 TEST(Uchan, AsyncUpcallDeliveredInOrder) {
   Uchan uchan;
   for (uint32_t i = 0; i < 5; ++i) {

@@ -89,19 +89,19 @@ TEST(WireSchema, RegistryIsCompleteAndUnique) {
   const std::pair<Dir, uint32_t> kAll[] = {
       {Dir::kUp, kOpInterrupt},          {Dir::kUp, kEthUpOpen},
       {Dir::kUp, kEthUpStop},            {Dir::kUp, kEthUpXmit},
-      {Dir::kUp, kEthUpIoctl},           {Dir::kUp, kEthUpXmitChain},
-      {Dir::kUp, kWifiUpScan},           {Dir::kUp, kWifiUpAssociate},
-      {Dir::kUp, kWifiUpEnableFeatures}, {Dir::kUp, kAudioUpOpenStream},
-      {Dir::kUp, kAudioUpCloseStream},   {Dir::kUp, kAudioUpWrite},
-      {Dir::kDown, kOpInterruptAck},     {Dir::kDown, kOpRequestRegion},
-      {Dir::kDown, kOpPciFindCapability}, {Dir::kDown, kEthDownRegisterNetdev},
-      {Dir::kDown, kEthDownNetifRx},     {Dir::kDown, kEthDownSetCarrier},
-      {Dir::kDown, kEthDownFreeBuffer},  {Dir::kDown, kEthDownNetifRxChain},
+      {Dir::kUp, kEthUpIoctl},           {Dir::kUp, kWifiUpScan},
+      {Dir::kUp, kWifiUpAssociate},      {Dir::kUp, kWifiUpEnableFeatures},
+      {Dir::kUp, kAudioUpOpenStream},    {Dir::kUp, kAudioUpCloseStream},
+      {Dir::kUp, kAudioUpWrite},         {Dir::kDown, kOpInterruptAck},
+      {Dir::kDown, kOpRequestRegion},    {Dir::kDown, kOpPciFindCapability},
+      {Dir::kDown, kEthDownRegisterNetdev}, {Dir::kDown, kEthDownNetifRx},
+      {Dir::kDown, kEthDownSetCarrier},  {Dir::kDown, kEthDownFreeBuffer},
       {Dir::kDown, kWifiDownRegister},   {Dir::kDown, kWifiDownBssChange},
       {Dir::kDown, kWifiDownSetBitrates}, {Dir::kDown, kAudioDownRegister},
       {Dir::kDown, kAudioDownPeriodElapsed}, {Dir::kDown, kUsbDownKeyEvent},
   };
   EXPECT_EQ(std::size(kAll), SchemaCount());
+  EXPECT_EQ(SchemaCount(), 24u);
   for (const auto& [dir, opcode] : kAll) {
     EXPECT_NE(FindSchema(dir, opcode), nullptr) << "no schema for opcode " << opcode;
   }
@@ -279,34 +279,36 @@ TEST(WireSchema, UnknownOpcodeAndDirectionConfusionRejected) {
 
 // ---- codec round trips ------------------------------------------------------
 
-TEST(WireCodec, XmitChainRoundTrip) {
-  const int32_t ids[] = {7, 12, 3};
-  const uint32_t lens[] = {1500, 900, 64};
-  UchanMsg msg;
-  EncodeXmitChain(/*queue=*/1, ids, lens, 3, 2464, &msg);
-  EXPECT_EQ(msg.opcode, kEthUpXmitChain);
-  EXPECT_EQ(ValidateStructure(Dir::kUp, msg, 1), Malform::kNone);
-  ASSERT_EQ(XmitChainCount(msg), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    XmitFrag frag = DecodeXmitFrag(msg, i);
-    EXPECT_EQ(frag.pool_id, ids[i]);
-    EXPECT_EQ(frag.len, lens[i]);
+// A one-record list and a multi-record list share one message and codec.
+TEST(WireCodec, XmitRoundTrip) {
+  const XmitFrag frags[] = {{7, 1500}, {12, 900}, {3, 64}};
+  for (size_t count : {1u, 3u}) {
+    UchanMsg msg;
+    EncodeXmit(/*queue=*/1, std::span<const XmitFrag>(frags, count), &msg);
+    EXPECT_EQ(msg.opcode, kEthUpXmit);
+    EXPECT_EQ(ValidateStructure(Dir::kUp, msg, 1), Malform::kNone);
+    ASSERT_EQ(XmitFragCount(msg), count);
+    for (size_t i = 0; i < count; ++i) {
+      XmitFrag frag = DecodeXmitFrag(msg, i);
+      EXPECT_EQ(frag.pool_id, frags[i].pool_id);
+      EXPECT_EQ(frag.len, frags[i].len);
+    }
   }
-  EXPECT_EQ(msg.buffer_id, ids[0]);
-  EXPECT_EQ(msg.buffer_len, 2464u);
 }
 
-TEST(WireCodec, RxChainRoundTrip) {
-  const RxFrag frags[] = {{0x10000, 2048}, {0x23000, 2048}, {0x55000, 100}};
-  UchanMsg msg;
-  EncodeRxChain(frags, 3, &msg);
-  EXPECT_EQ(msg.opcode, kEthDownNetifRxChain);
-  EXPECT_EQ(ValidateStructure(Dir::kDown, msg, 2), Malform::kNone);
-  ASSERT_EQ(RxChainCount(msg), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    RxFrag frag = DecodeRxFrag(msg, i);
-    EXPECT_EQ(frag.iova, frags[i].iova);
-    EXPECT_EQ(frag.len, frags[i].len);
+TEST(WireCodec, NetifRxRoundTrip) {
+  const DmaFrag frags[] = {{0x10000, 2048}, {0x23000, 2048}, {0x55000, 100}};
+  for (size_t count : {1u, 3u}) {
+    UchanMsg msg;
+    EncodeNetifRx(std::span<const DmaFrag>(frags, count), &msg);
+    EXPECT_EQ(msg.opcode, kEthDownNetifRx);
+    EXPECT_EQ(ValidateStructure(Dir::kDown, msg, 2), Malform::kNone);
+    ASSERT_EQ(RxFragCount(msg), count);
+    for (size_t i = 0; i < count; ++i) {
+      DmaFrag frag = DecodeRxFrag(msg, i);
+      EXPECT_EQ(frag.iova, frags[i].iova);
+      EXPECT_EQ(frag.len, frags[i].len);
+    }
   }
 }
 
@@ -356,14 +358,12 @@ TEST(WireCodec, ScanResultsRoundTripWithSsidTruncation) {
   results[1].ssid = std::string(40, 'x');  // over the wire limit
   results[1].channel = 153;
   results[1].signal_dbm = -80;
-  std::vector<uint8_t> payload;
-  EncodeScanResults(results, &payload);
   const MessageSchema* schema = FindSchema(Dir::kUp, kWifiUpScan);
   ASSERT_NE(schema, nullptr);
   UchanMsg reply;
-  reply.inline_data = payload;
+  EncodeScanResults(results, &reply.inline_data);
   EXPECT_EQ(ValidateReplyStructure(*schema, reply), Malform::kNone);
-  std::vector<kern::ScanResult> decoded = DecodeScanResults(payload);
+  std::vector<kern::ScanResult> decoded = DecodeScanResults(reply.inline_data);
   ASSERT_EQ(decoded.size(), 2u);
   EXPECT_EQ(decoded[0].bssid, results[0].bssid);
   EXPECT_EQ(decoded[0].ssid, "lab-net");
@@ -380,12 +380,12 @@ TEST(WireCodec, ScanResultsRoundTripWithSsidTruncation) {
 
 TEST(WireSchema, RejectStatsCountsPerMessageAndUnknown) {
   RejectStats stats;
-  stats.Count(Dir::kDown, kEthDownNetifRxChain);
-  stats.Count(Dir::kDown, kEthDownNetifRxChain);
-  stats.Count(Dir::kUp, kEthUpXmitChain);
+  stats.Count(Dir::kDown, kEthDownNetifRx);
+  stats.Count(Dir::kDown, kEthDownNetifRx);
+  stats.Count(Dir::kUp, kEthUpXmit);
   stats.Count(Dir::kDown, 0xdead);
-  EXPECT_EQ(stats.rejected(Dir::kDown, kEthDownNetifRxChain), 2u);
-  EXPECT_EQ(stats.rejected(Dir::kUp, kEthUpXmitChain), 1u);
+  EXPECT_EQ(stats.rejected(Dir::kDown, kEthDownNetifRx), 2u);
+  EXPECT_EQ(stats.rejected(Dir::kUp, kEthUpXmit), 1u);
   EXPECT_EQ(stats.unknown_opcode(), 1u);
   EXPECT_EQ(stats.total(), 4u);
   auto nonzero = stats.NonZero();
