@@ -15,8 +15,17 @@
 //                          faster to mask an interrupt by remapping")
 //   abl/wakeup_latency     UDP_RR CPU sensitivity to the 4 us process wakeup
 //                          (explains the 2x CPU row of Figure 8)
+//
+// and one host-time microbench, independent of the SUD stack:
+//
+//   phys_mem_steady_state_jumbo  DRAM page allocator cost (host ns per
+//                          AllocPages) in the 9K TXZC steady state: 2-page
+//                          alloc/free bursts above a setup-sized prefix
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <array>
 
 #include "src/drivers/malicious.h"
 #include "src/base/log.h"
@@ -280,6 +289,39 @@ void BM_WakeupLatency(benchmark::State& state) {
   state.counters["wakeup_ns"] = static_cast<double>(wakeup_ns);
 }
 BENCHMARK(BM_WakeupLatency)->Arg(0)->Arg(1000)->Arg(2000)->Arg(4000)->Arg(8000);
+
+// The DRAM page allocator in the Figure 8 9K TXZC steady state: the setup
+// pools (DMA pools, rings) hold a prefix of DRAM, then each burst of 8
+// jumbo frames allocates one 2-page frag block per frame and frees all 8
+// when TX reap drops the skbs. Host time per AllocPages is the figure of
+// merit; a scan from page 0 pays for the whole prefix on every call.
+void BM_PhysMemSteadyStateJumbo(benchmark::State& state) {
+  constexpr uint64_t kSetupPages = 4355;  // a sealed-TX jumbo SUT after StartSut
+  constexpr uint64_t kPoolPages = 17;     // odd-sized pools, unaligned to words
+  constexpr int kBurst = 8;
+  constexpr uint64_t kFragPages = 2;      // a 9014-byte frame past its 2048-byte head
+  hw::PhysicalMemory dram(hw::Machine::Config{}.dram_bytes);
+  for (uint64_t held = 0; held < kSetupPages; held += kPoolPages) {
+    (void)dram.AllocPages(std::min(kPoolPages, kSetupPages - held));
+  }
+
+  std::array<uint64_t, kBurst> burst{};
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    for (uint64_t& paddr : burst) {
+      paddr = dram.AllocPages(kFragPages).value_or(0);
+    }
+    benchmark::DoNotOptimize(burst);
+    for (uint64_t paddr : burst) {
+      dram.FreePages(paddr, kFragPages);
+    }
+    allocs += kBurst;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(allocs));
+  state.counters["setup_pages"] = static_cast<double>(kSetupPages);
+  state.counters["pages_after"] = static_cast<double>(dram.allocated_pages());
+}
+BENCHMARK(BM_PhysMemSteadyStateJumbo);
 
 }  // namespace
 }  // namespace sud

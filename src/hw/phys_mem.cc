@@ -1,6 +1,8 @@
 #include "src/hw/phys_mem.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 
 namespace sud::hw {
@@ -8,7 +10,11 @@ namespace sud::hw {
 PhysicalMemory::PhysicalMemory(uint64_t size_bytes) {
   uint64_t rounded = PageAlignUp(size_bytes);
   bytes_.resize(rounded, 0);
-  page_used_.resize(rounded / kPageSize, false);
+  page_count_ = rounded / kPageSize;
+  page_used_.assign((page_count_ + 63) / 64, 0);
+  if (uint64_t tail = page_count_ % 64; tail != 0) {
+    page_used_.back() = ~uint64_t{0} << tail;
+  }
 }
 
 Status PhysicalMemory::Read(uint64_t paddr, ByteSpan out) const {
@@ -70,33 +76,87 @@ Result<ByteSpan> PhysicalMemory::Window(uint64_t paddr, uint64_t len) {
   return ByteSpan(bytes_.data() + paddr, len);
 }
 
+namespace {
+
+// The bits [lo, lo + len) of a word; 0 < len, lo + len <= 64.
+uint64_t BitRun(uint64_t lo, uint64_t len) {
+  return (len == 64 ? ~uint64_t{0} : (uint64_t{1} << len) - 1) << lo;
+}
+
+}  // namespace
+
+uint64_t PhysicalMemory::MarkPages(uint64_t first, uint64_t end, bool used) {
+  uint64_t changed = 0;
+  for (uint64_t page = first; page < end;) {
+    uint64_t lo = page % 64;
+    uint64_t len = std::min<uint64_t>(64 - lo, end - page);
+    uint64_t mask = BitRun(lo, len);
+    uint64_t& word = page_used_[page / 64];
+    uint64_t flip = used ? mask & ~word : mask & word;
+    changed += static_cast<uint64_t>(std::popcount(flip));
+    word ^= flip;
+    page += len;
+  }
+  return changed;
+}
+
 Result<uint64_t> PhysicalMemory::AllocPages(uint64_t num_pages) {
   if (num_pages == 0) {
     return Status(ErrorCode::kInvalidArgument, "zero-page allocation");
   }
-  uint64_t run = 0;
-  for (uint64_t i = 0; i < page_used_.size(); ++i) {
-    run = page_used_[i] ? 0 : run + 1;
-    if (run == num_pages) {
-      uint64_t first = i + 1 - num_pages;
-      for (uint64_t j = first; j <= i; ++j) {
-        page_used_[j] = true;
+  // The free run being grown, [run_start, run_start + run_len), and the
+  // lowest free page the scan has passed.
+  uint64_t run_start = 0;
+  uint64_t run_len = 0;
+  uint64_t lowest_free = page_count_;
+  bool found = false;
+  for (uint64_t w = first_free_ / 64; w < page_used_.size() && !found; ++w) {
+    uint64_t used = page_used_[w];
+    if (used == ~uint64_t{0}) {
+      run_len = 0;
+      continue;
+    }
+    // Alternate free and used runs across the word; the bits below the
+    // cursor are set, so a run never starts below it.
+    for (uint64_t bit = 0; bit < 64;) {
+      uint64_t rest = used >> bit;
+      uint64_t free_len = rest == 0 ? 64 - bit : static_cast<uint64_t>(std::countr_zero(rest));
+      if (free_len > 0) {
+        if (run_len == 0) {
+          run_start = w * 64 + bit;
+          lowest_free = std::min(lowest_free, run_start);
+        }
+        run_len += free_len;
+        if (run_len >= num_pages) {
+          found = true;
+          break;
+        }
+        bit += free_len;
+        if (bit == 64) {
+          break;  // the run may continue into the next word
+        }
       }
-      allocated_pages_ += num_pages;
-      return first * kPageSize;
+      run_len = 0;
+      bit += static_cast<uint64_t>(std::countr_one(used >> bit));
     }
   }
-  return Status(ErrorCode::kExhausted, "out of physical pages");
+  if (!found) {
+    first_free_ = lowest_free;
+    return Status(ErrorCode::kExhausted, "out of physical pages");
+  }
+  allocated_pages_ += MarkPages(run_start, run_start + num_pages, true);
+  first_free_ = lowest_free == run_start ? run_start + num_pages : lowest_free;
+  return run_start * kPageSize;
 }
 
 void PhysicalMemory::FreePages(uint64_t paddr, uint64_t num_pages) {
   uint64_t first = paddr / kPageSize;
-  for (uint64_t j = first; j < first + num_pages && j < page_used_.size(); ++j) {
-    if (page_used_[j]) {
-      page_used_[j] = false;
-      --allocated_pages_;
-    }
+  uint64_t end = first + num_pages;
+  if (first >= page_count_ || end <= first) {
+    return;  // out of range, zero pages, or a wrapping length: nothing to free
   }
+  allocated_pages_ -= MarkPages(first, std::min(end, page_count_), false);
+  first_free_ = std::min(first_free_, first);
 }
 
 }  // namespace sud::hw

@@ -182,15 +182,17 @@ Status NetSubsystem::NetifRx(NetDevice* device, SkbPtr skb, uint16_t queue) {
     device->stats().rx_dropped++;
     return Status(ErrorCode::kPermissionDenied, "firewall rejected packet");
   }
-  device->stats().rx_packets++;
-  if (queue < kNetMaxQueues) {
-    device->queue_stats(queue).rx_packets++;
-  }
   if (FlowTable* flows = device->flow_table()) {
     flows->Record(FlowHash(skb->span()), queue);
   }
   if (device->rx_sink()) {
     device->rx_sink()(*skb);
+  }
+  // Counted after the sink, so a reader that sees rx_packets reach N also
+  // sees everything the sink did with the first N frames.
+  device->stats().rx_packets++;
+  if (queue < kNetMaxQueues) {
+    device->queue_stats(queue).rx_packets++;
   }
   return Status::Ok();
 }

@@ -12,6 +12,7 @@
 #ifndef SUD_SRC_KERN_PROCESS_H_
 #define SUD_SRC_KERN_PROCESS_H_
 
+#include <atomic>
 #include <bitset>
 #include <cstdint>
 #include <map>
@@ -44,8 +45,11 @@ class Process {
   Pid pid() const { return pid_; }
   Uid uid() const { return uid_; }
   const std::string& name() const { return name_; }
-  bool alive() const { return alive_; }
-  void MarkDead() { alive_ = false; }
+  // An administrator kill marks the process dead while the supervisor's
+  // watchdog thread may be reading the flag; the release/acquire pair makes
+  // everything done before the kill visible to a reader that sees it dead.
+  bool alive() const { return alive_.load(std::memory_order_acquire); }
+  void MarkDead() { alive_.store(false, std::memory_order_release); }
 
   // --- IOPB: per-process IO-port permission bitmap.
   void GrantIoPorts(uint16_t first, uint16_t count);
@@ -72,7 +76,7 @@ class Process {
   Pid pid_;
   Uid uid_;
   std::string name_;
-  bool alive_ = true;
+  std::atomic<bool> alive_{true};
   std::bitset<65536> iopb_;
   uint64_t memory_used_ = 0;
   uint64_t cpu_ns_ = 0;

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/base/log.h"
+#include "src/base/rng.h"
 #include "src/hw/machine.h"
 
 namespace sud::hw {
@@ -79,6 +83,172 @@ TEST(PhysicalMemory, AllocatorFindsRunsAndFrees) {
   EXPECT_EQ(dram.allocated_pages(), 0u);
   EXPECT_TRUE(dram.AllocPages(16).ok());
 }
+
+// The reference model for the allocator: first fit by a one-page-at-a-time
+// scan from page 0. PhysicalMemory must return the same address for every
+// call sequence.
+class ScanAllocator {
+ public:
+  explicit ScanAllocator(uint64_t pages) : used_(pages, false) {}
+
+  Result<uint64_t> AllocPages(uint64_t num_pages) {
+    if (num_pages == 0) {
+      return Status(ErrorCode::kInvalidArgument, "zero-page allocation");
+    }
+    uint64_t run = 0;
+    for (uint64_t i = 0; i < used_.size(); ++i) {
+      run = used_[i] ? 0 : run + 1;
+      if (run == num_pages) {
+        uint64_t first = i + 1 - num_pages;
+        for (uint64_t j = first; j <= i; ++j) {
+          used_[j] = true;
+        }
+        allocated_ += num_pages;
+        return first * kPageSize;
+      }
+    }
+    return Status(ErrorCode::kExhausted, "out of physical pages");
+  }
+
+  void FreePages(uint64_t paddr, uint64_t num_pages) {
+    uint64_t first = paddr / kPageSize;
+    for (uint64_t j = first; j < first + num_pages && j < used_.size(); ++j) {
+      if (used_[j]) {
+        used_[j] = false;
+        --allocated_;
+      }
+    }
+  }
+
+  uint64_t allocated_pages() const { return allocated_; }
+
+ private:
+  std::vector<bool> used_;
+  uint64_t allocated_ = 0;
+};
+
+// Drives PhysicalMemory and ScanAllocator with one call sequence and checks
+// they agree on every result and on allocated_pages() after every step.
+class AllocPair {
+ public:
+  explicit AllocPair(uint64_t pages) : dram_(pages * kPageSize), model_(pages) {}
+
+  Result<uint64_t> Alloc(uint64_t num_pages) {
+    Result<uint64_t> got = dram_.AllocPages(num_pages);
+    Result<uint64_t> want = model_.AllocPages(num_pages);
+    EXPECT_EQ(got.ok(), want.ok()) << "AllocPages(" << num_pages << ") step " << step_;
+    if (got.ok() && want.ok()) {
+      EXPECT_EQ(got.value(), want.value()) << "AllocPages(" << num_pages << ") step " << step_;
+    } else {
+      EXPECT_EQ(got.status().code(), want.status().code()) << "step " << step_;
+    }
+    Check();
+    return want;
+  }
+
+  void Free(uint64_t paddr, uint64_t num_pages) {
+    dram_.FreePages(paddr, num_pages);
+    model_.FreePages(paddr, num_pages);
+    Check();
+  }
+
+  uint64_t allocated_pages() const { return model_.allocated_pages(); }
+
+ private:
+  void Check() {
+    EXPECT_EQ(dram_.allocated_pages(), model_.allocated_pages()) << "step " << step_;
+    ++step_;
+  }
+
+  PhysicalMemory dram_;
+  ScanAllocator model_;
+  uint64_t step_ = 0;
+};
+
+class AllocatorEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AllocatorEquivalenceTest, MatchesFirstFitScan) {
+  struct Run {
+    uint64_t paddr;
+    uint64_t pages;
+  };
+  // 200 and 1000 pages are not multiples of the 64-page bitmap word; 1 and
+  // 64 are the smallest one-word cases.
+  for (uint64_t total : {1u, 64u, 200u, 1000u}) {
+    SCOPED_TRACE("pages=" + std::to_string(total));
+    Rng rng(GetParam() ^ total);
+    AllocPair pair(total);
+
+    // A run that ends on the last page, then exhaustion at every size.
+    if (total > 5) {
+      pair.Alloc(total - 5);
+      Result<uint64_t> tail = pair.Alloc(5);
+      ASSERT_TRUE(tail.ok());
+      EXPECT_EQ(tail.value(), (total - 5) * kPageSize);
+    } else {
+      pair.Alloc(total);
+    }
+    pair.Alloc(1);
+    pair.Alloc(0);
+    pair.Free(0, total);
+    ASSERT_EQ(pair.allocated_pages(), 0u);
+
+    std::vector<Run> live;
+    for (int step = 0; step < 4000 && !::testing::Test::HasFailure(); ++step) {
+      uint64_t op = rng.Below(100);
+      if (op < 50 || live.empty()) {
+        // Mostly small runs, sometimes up to 80 pages: both cross word
+        // boundaries, and the mix fragments DRAM and exhausts it.
+        uint64_t pages = rng.Chance(1, 2) ? rng.Between(1, 4) : rng.Between(1, 80);
+        Result<uint64_t> paddr = pair.Alloc(pages);
+        if (paddr.ok()) {
+          live.push_back({paddr.value(), pages});
+        }
+        continue;
+      }
+      size_t pick = rng.Below(live.size());
+      Run run = live[pick];
+      if (op < 80) {
+        // Free a live run whole; a quarter of the time free it again.
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        pair.Free(run.paddr, run.pages);
+        if (rng.Chance(1, 4)) {
+          pair.Free(run.paddr, run.pages);
+        }
+      } else if (op < 92) {
+        // Free part of a live run (possibly from an unaligned address inside
+        // its first page); what is left on either side stays live.
+        uint64_t skip = rng.Below(run.pages);
+        uint64_t len = rng.Between(1, run.pages - skip);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+        pair.Free(run.paddr + skip * kPageSize + rng.Below(kPageSize), len);
+        if (skip > 0) {
+          live.push_back({run.paddr, skip});
+        }
+        if (skip + len < run.pages) {
+          live.push_back({run.paddr + (skip + len) * kPageSize, run.pages - skip - len});
+        }
+      } else {
+        // Out of range: past the end, straddling the end, and a length that
+        // wraps. None of these may free a page that is not in DRAM.
+        switch (rng.Below(3)) {
+          case 0:
+            pair.Free((total + rng.Below(100)) * kPageSize, rng.Between(1, 80));
+            break;
+          case 1:
+            // The live run holding the last page loses it; freeing that run
+            // later is then in part a double free.
+            pair.Free((total - 1) * kPageSize, rng.Between(2, 80));
+            break;
+          default:
+            pair.Free(run.paddr, ~uint64_t{0});
+            break;
+        }
+      }
+    }
+  }
+}
+INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorEquivalenceTest, ::testing::Values(1, 42, 2024));
 
 TEST(PciConfig, VendorDeviceAndCapabilities) {
   PciConfigSpace config(0x8086, 0x10d3, 0x02);

@@ -386,9 +386,11 @@ TEST(IntegrationNet, TxScatterGatherSerialVsThreadedDeterminism) {
   struct WireRecorder : devices::EtherEndpoint {
     std::atomic<uint64_t> frames{0};
     std::atomic<uint64_t> digest{0};
+    // The digest is added first and the count published with release, so a
+    // waiter that acquires `frames` == N reads the digest of all N frames.
     void DeliverFrame(ConstByteSpan frame) override {
-      frames.fetch_add(1, std::memory_order_relaxed);
       digest.fetch_add(devices::EtherLink::FrameHash(frame), std::memory_order_relaxed);
+      frames.fetch_add(1, std::memory_order_release);
     }
   };
 
@@ -428,7 +430,7 @@ TEST(IntegrationNet, TxScatterGatherSerialVsThreadedDeterminism) {
       EXPECT_EQ(accepted.value(), static_cast<size_t>(kBurst) * kQueues);
       sent += kBurst * kQueues;
       auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while ((wire.frames.load() < sent ||
+      while ((wire.frames.load(std::memory_order_acquire) < sent ||
               bench.ctx->pool().free_count() < bench.ctx->pool().count()) &&
              std::chrono::steady_clock::now() < deadline) {
         if (mode == uml::DriverHost::Mode::kPumped) {
@@ -443,7 +445,7 @@ TEST(IntegrationNet, TxScatterGatherSerialVsThreadedDeterminism) {
     for (uint32_t q = 0; q < kQueues; ++q) {
       result.tx_per_queue.push_back(bench.sut_nic.queue_stats(q).tx_frames.load());
     }
-    result.wire_frames = wire.frames.load();
+    result.wire_frames = wire.frames.load(std::memory_order_acquire);
     result.wire_digest = wire.digest.load();
     result.tx_linearized = netdev->stats().tx_linearized.load();
     result.chain_frames = bench.sut_nic.stats().tx_chain_frames.load();
@@ -629,9 +631,11 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
   struct WireRecorder : devices::EtherEndpoint {
     std::atomic<uint64_t> frames{0};
     std::atomic<uint64_t> digest{0};
+    // The digest is added first and the count published with release, so a
+    // waiter that acquires `frames` == N reads the digest of all N frames.
     void DeliverFrame(ConstByteSpan frame) override {
-      frames.fetch_add(1, std::memory_order_relaxed);
       digest.fetch_add(devices::EtherLink::FrameHash(frame), std::memory_order_relaxed);
+      frames.fetch_add(1, std::memory_order_release);
     }
   };
 
@@ -678,7 +682,7 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
         send_flow(q, [&]() { bench.host->Pump(); });
       }
       auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (wire.frames.load() < kPerQueue * kQueues &&
+      while (wire.frames.load(std::memory_order_acquire) < kPerQueue * kQueues &&
              std::chrono::steady_clock::now() < deadline) {
         bench.host->Pump();
       }
@@ -692,7 +696,7 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
         sender.join();
       }
       auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (wire.frames.load() < kPerQueue * kQueues &&
+      while (wire.frames.load(std::memory_order_acquire) < kPerQueue * kQueues &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::yield();
       }
@@ -703,7 +707,7 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
       result.tx_per_queue.push_back(
           bench.sut_nic.queue_stats(static_cast<uint16_t>(q)).tx_frames.load());
     }
-    result.wire_frames = wire.frames.load();
+    result.wire_frames = wire.frames.load(std::memory_order_acquire);
     result.wire_digest = wire.digest.load();
     result.tx_packets = netdev->stats().tx_packets.load();
     if (mode == uml::DriverHost::Mode::kThreadedPerQueue) {
