@@ -23,16 +23,17 @@
 //      (down + unregistered): the point where the paper's human
 //      administrator genuinely takes over.
 //
-// Single-core hosts run the same choreography through the serial generator's
-// pump callback (the pumped-dispatch fallback), so the bench never depends
-// on hardware threads to be meaningful.
+// The storm and the upgrade run twice on every invocation: pumped dispatch
+// with the serial generator replay (the generator's pump callback drives the
+// driver inline), then threaded-per-queue dispatch with threaded generators.
+// Every invariant must hold in both, so the verdict never depends on how
+// many cores the host has. The give-up storm runs once.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -456,13 +457,19 @@ GiveUpResult RunGiveUpStorm() {
   return result;
 }
 
-void WriteJson(const StormResult& storm, const UpgradeResult& upgrade,
-               const GiveUpResult& give_up, bool threaded, bool pass, const char* path) {
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
+// One dispatch mode's storm and upgrade phases.
+struct ModeResult {
+  bool threaded = false;
+  StormResult storm;
+  UpgradeResult upgrade;
+  bool ok() const { return storm.ok && upgrade.ok; }
+};
+
+const char* ModeName(bool threaded) { return threaded ? "threaded_per_queue" : "pumped"; }
+
+void WriteMode(std::FILE* out, const ModeResult& mode) {
+  const StormResult& storm = mode.storm;
+  const UpgradeResult& upgrade = mode.upgrade;
   uint64_t lat_min = UINT64_MAX, lat_max = 0, lat_sum = 0;
   for (const CycleRow& row : storm.cycles) {
     lat_min = std::min(lat_min, row.recovery_latency_ns);
@@ -475,15 +482,13 @@ void WriteJson(const StormResult& storm, const UpgradeResult& upgrade,
   double lost_per_crash = storm.cycles.empty()
                               ? 0
                               : static_cast<double>(storm.lost) / storm.cycles.size();
-  std::fprintf(out, "{\n  \"benchmark\": \"abl_crash_recovery\",\n");
-  std::fprintf(out, "  \"queues\": %u,\n  \"threaded\": %s,\n", kQueues,
-               threaded ? "true" : "false");
-  std::fprintf(out, "  \"crash_storm\": {\n");
-  std::fprintf(out, "    \"cycles\": [\n");
+  std::fprintf(out, "    {\n      \"mode\": \"%s\",\n", ModeName(mode.threaded));
+  std::fprintf(out, "      \"crash_storm\": {\n");
+  std::fprintf(out, "        \"cycles\": [\n");
   for (size_t i = 0; i < storm.cycles.size(); ++i) {
     const CycleRow& row = storm.cycles[i];
     std::fprintf(out,
-                 "      {\"cycle\": %d, \"recovered\": %s, \"resumed_all_queues\": %s, "
+                 "          {\"cycle\": %d, \"recovered\": %s, \"resumed_all_queues\": %s, "
                  "\"recovery_latency_ns\": %llu, \"sent\": %llu, \"delivered\": %llu, "
                  "\"lost\": %llu}%s\n",
                  row.cycle, row.recovered ? "true" : "false",
@@ -494,43 +499,59 @@ void WriteJson(const StormResult& storm, const UpgradeResult& upgrade,
                  static_cast<unsigned long long>(row.lost),
                  i + 1 < storm.cycles.size() ? "," : "");
   }
-  std::fprintf(out, "    ],\n");
+  std::fprintf(out, "        ],\n");
   std::fprintf(out,
-               "    \"restarts\": %u, \"sent\": %llu, \"delivered\": %llu, "
+               "        \"restarts\": %u, \"sent\": %llu, \"delivered\": %llu, "
                "\"pkts_lost_total\": %llu, \"pkts_lost_per_crash\": %.1f,\n",
                storm.restarts, static_cast<unsigned long long>(storm.sent),
                static_cast<unsigned long long>(storm.delivered),
                static_cast<unsigned long long>(storm.lost), lost_per_crash);
   std::fprintf(out,
-               "    \"pkts_lost_counted\": %llu, \"pkts_lost_uncounted\": %llu,\n",
+               "        \"pkts_lost_counted\": %llu, \"pkts_lost_uncounted\": %llu,\n",
                static_cast<unsigned long long>(storm.lost_counted),
                static_cast<unsigned long long>(storm.lost_uncounted));
   std::fprintf(out,
-               "    \"loss_bound_per_crash\": %llu, \"digest_mismatches\": %llu, "
+               "        \"loss_bound_per_crash\": %llu, \"digest_mismatches\": %llu, "
                "\"buffers_quarantined\": %llu,\n",
                static_cast<unsigned long long>(kQueues) * kPeerWindow,
                static_cast<unsigned long long>(storm.digest_mismatches),
                static_cast<unsigned long long>(storm.buffers_quarantined));
   std::fprintf(out,
-               "    \"recovery_latency_ns\": {\"min\": %llu, \"avg\": %llu, \"max\": %llu}\n",
+               "        \"recovery_latency_ns\": {\"min\": %llu, \"avg\": %llu, \"max\": %llu},\n",
                static_cast<unsigned long long>(lat_min),
                static_cast<unsigned long long>(
                    storm.cycles.empty() ? 0 : lat_sum / storm.cycles.size()),
                static_cast<unsigned long long>(lat_max));
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"hot_upgrade\": {\n");
+  std::fprintf(out, "        \"ok\": %s\n      },\n", storm.ok ? "true" : "false");
+  std::fprintf(out, "      \"hot_upgrade\": {\n");
   std::fprintf(out,
-               "    \"upgrades\": %u, \"upgrade_ns\": %.0f, \"sent\": %llu, "
+               "        \"upgrades\": %u, \"upgrade_ns\": %.0f, \"sent\": %llu, "
                "\"delivered\": %llu, \"pkts_lost\": %llu, \"digest_mismatches\": %llu, "
-               "\"buffers_quarantined\": %llu, \"resumed_all_queues\": %s\n",
+               "\"buffers_quarantined\": %llu, \"resumed_all_queues\": %s, \"ok\": %s\n",
                upgrade.upgrades, upgrade.upgrade_ns,
                static_cast<unsigned long long>(upgrade.sent),
                static_cast<unsigned long long>(upgrade.delivered),
                static_cast<unsigned long long>(upgrade.lost),
                static_cast<unsigned long long>(upgrade.digest_mismatches),
                static_cast<unsigned long long>(upgrade.buffers_quarantined),
-               upgrade.resumed_all_queues ? "true" : "false");
-  std::fprintf(out, "  },\n");
+               upgrade.resumed_all_queues ? "true" : "false", upgrade.ok ? "true" : "false");
+  std::fprintf(out, "      }\n    }");
+}
+
+void WriteJson(const std::vector<ModeResult>& modes, const GiveUpResult& give_up, bool pass,
+               const char* path) {
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path);
+    return;
+  }
+  std::fprintf(out, "{\n  \"benchmark\": \"abl_crash_recovery\",\n");
+  std::fprintf(out, "  \"queues\": %u,\n  \"modes\": [\n", kQueues);
+  for (size_t i = 0; i < modes.size(); ++i) {
+    WriteMode(out, modes[i]);
+    std::fprintf(out, "%s\n", i + 1 < modes.size() ? "," : "");
+  }
+  std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"give_up\": {\n");
   std::fprintf(out,
                "    \"max_restarts\": %u, \"restarts\": %u, \"give_ups\": %llu, "
@@ -544,21 +565,12 @@ void WriteJson(const StormResult& storm, const UpgradeResult& upgrade,
   std::printf("wrote %s\n", path);
 }
 
-}  // namespace
-}  // namespace sud
-
-int main() {
-  using namespace sud;
-  Logger::Get().set_min_level(LogLevel::kError);
-  bool threaded = std::thread::hardware_concurrency() > 1 || std::getenv("SUD_FORCE_THREADED") != nullptr;
-
-  StormResult storm = RunStorm(threaded);
-  UpgradeResult upgrade = RunUpgrade(threaded);
-  GiveUpResult give_up = RunGiveUpStorm();
-  bool pass = storm.ok && upgrade.ok && give_up.ok;
-
-  std::printf("\nabl_crash_recovery: %u-queue streaming, %s generators\n", kQueues,
-              threaded ? "threaded" : "serial+pumped");
+void PrintMode(const ModeResult& mode) {
+  const StormResult& storm = mode.storm;
+  const UpgradeResult& upgrade = mode.upgrade;
+  std::printf("\nabl_crash_recovery: %u-queue streaming, %s\n", kQueues,
+              mode.threaded ? "threaded-per-queue dispatch, threaded generators"
+                            : "pumped dispatch, serial generators");
   std::printf("%-7s %-10s %-8s %12s %10s %10s %8s\n", "cycle", "recovered", "resumed",
               "latency(us)", "sent", "delivered", "lost");
   for (const CycleRow& row : storm.cycles) {
@@ -581,10 +593,35 @@ int main() {
               (unsigned long long)upgrade.delivered, (unsigned long long)upgrade.sent,
               (unsigned long long)upgrade.lost,
               (unsigned long long)upgrade.buffers_quarantined, upgrade.ok ? "OK" : "FAIL");
-  std::printf("give-up: %u/%u budget spent, gave_up=%s, parked=%s -> %s\n", give_up.restarts,
+}
+
+}  // namespace
+}  // namespace sud
+
+int main() {
+  using namespace sud;
+  Logger::Get().set_min_level(LogLevel::kError);
+
+  // Every invocation runs the storm and the upgrade in both dispatch modes,
+  // so the verdict does not depend on the host's core count.
+  std::vector<ModeResult> modes;
+  for (bool threaded : {false, true}) {
+    ModeResult mode;
+    mode.threaded = threaded;
+    mode.storm = RunStorm(threaded);
+    mode.upgrade = RunUpgrade(threaded);
+    modes.push_back(std::move(mode));
+  }
+  GiveUpResult give_up = RunGiveUpStorm();
+  bool pass = give_up.ok;
+  for (const ModeResult& mode : modes) {
+    PrintMode(mode);
+    pass &= mode.ok();
+  }
+  std::printf("\ngive-up: %u/%u budget spent, gave_up=%s, parked=%s -> %s\n", give_up.restarts,
               give_up.max_restarts, give_up.gave_up ? "true" : "false",
               give_up.interface_parked ? "true" : "false", give_up.ok ? "OK" : "FAIL");
 
-  WriteJson(storm, upgrade, give_up, threaded, pass, "BENCH_crash_recovery.json");
+  WriteJson(modes, give_up, pass, "BENCH_crash_recovery.json");
   return pass ? 0 : 1;
 }

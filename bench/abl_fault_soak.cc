@@ -1,7 +1,7 @@
 // Fault-soak ablation: seeded fault storms at every trust boundary, with
 // graceful degradation proven by a conservation audit.
 //
-// For each seed (and in both dispatch modes on multi-core hosts) one
+// For each seed and each dispatch mode (pumped, threaded-per-queue) one
 // NetBench runs three phases back to back, writing one row into
 // BENCH_fault_soak.json and exiting nonzero if any invariant fails:
 //
@@ -649,24 +649,19 @@ int main(int argc, char** argv) {
   if (argc > 1) {
     seeds = std::max(1, std::atoi(argv[1]));
   }
-  bool threaded_ok = std::thread::hardware_concurrency() > 1 ||
-                     std::getenv("SUD_FORCE_THREADED") != nullptr;
-
   std::vector<SeedRow> rows;
   for (int i = 0; i < seeds; ++i) {
     uint64_t seed = 1 + static_cast<uint64_t>(i);
     rows.push_back(RunSeed(seed, /*threaded=*/false));
-    if (threaded_ok) {
-      rows.push_back(RunSeed(seed, /*threaded=*/true));
-    }
+    rows.push_back(RunSeed(seed, /*threaded=*/true));
   }
   bool pass = !rows.empty();
   for (const SeedRow& row : rows) {
     pass &= row.ok;
   }
 
-  std::printf("\nabl_fault_soak: %d seed(s), %u queues, %s\n", seeds, kQueues,
-              threaded_ok ? "pumped + threaded-per-queue" : "pumped only");
+  std::printf("\nabl_fault_soak: %d seed(s), %u queues, pumped + threaded-per-queue\n", seeds,
+              kQueues);
   std::printf("%-6s %-10s %-8s %-10s %-10s %-9s %-9s %-8s %s\n", "seed", "mode", "fires",
               "storm", "stall", "clean", "lost", "digest", "ok");
   for (const SeedRow& row : rows) {

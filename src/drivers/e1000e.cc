@@ -255,11 +255,10 @@ Status E1000eDriver::Open() {
   }
 
   if (num_queues_ == 1) {
-    SUD_RETURN_IF_ERROR(env_->RequestIrq([this]() { IrqHandler(); }));
+    SUD_RETURN_IF_ERROR(env_->RequestIrq(1, [this](uint16_t) { IrqHandler(); }));
   } else {
-    SUD_RETURN_IF_ERROR(env_->RequestQueueIrqs(
-        static_cast<uint16_t>(num_queues_),
-        [this](uint16_t queue) { IrqHandlerQueue(queue); }));
+    SUD_RETURN_IF_ERROR(env_->RequestIrq(static_cast<uint16_t>(num_queues_),
+                                         [this](uint16_t queue) { IrqHandlerQueue(queue); }));
   }
 
   // Program every queue's ring geometry.

@@ -35,7 +35,7 @@
 // pairs, programs each queue's register block, enables RSS (MRQC), programs
 // the 128-entry RETA indirection table (identity layout, i % N — and
 // ProgramReta() lets operators rebalance it at runtime) and requests one MSI
-// message per queue (RequestQueueIrqs). Queue q's handler touches only
+// message per queue (RequestIrq(N, ...)). Queue q's handler touches only
 // queue q's rings and buffers, so under SUD each queue can be pumped by its
 // own thread. TX completions are *coalesced*: a reap pass returns every
 // freed shared-pool buffer in one FreeTxBuffers call (one free-buffer

@@ -19,7 +19,7 @@ Status IwlDriver::Probe(uml::DriverEnv& env) {
   }
   scan_results_ = results.value();
 
-  SUD_RETURN_IF_ERROR(env.RequestIrq([this]() { IrqHandler(); }));
+  SUD_RETURN_IF_ERROR(env.RequestIrq(1, [this](uint16_t) { IrqHandler(); }));
   SUD_RETURN_IF_ERROR(env.MmioWrite32(0, devices::kWifiRegIms,
                                       devices::kWifiIntScanDone | devices::kWifiIntBssChanged |
                                           devices::kWifiIntTxDone));

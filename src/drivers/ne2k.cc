@@ -79,7 +79,7 @@ Status Ne2kDriver::Xmit(uint64_t frame_iova, uint32_t len, int32_t pool_buffer_i
   Out(devices::kNe2kPortCmd, devices::kNe2kCmdStart | devices::kNe2kCmdTransmit);
   ++stats_.tx_frames;
   if (pool_buffer_id >= 0) {
-    env_->FreeTxBuffer(pool_buffer_id);
+    env_->FreeTxBuffers(0, {&pool_buffer_id, 1});
   }
   return Status::Ok();
 }

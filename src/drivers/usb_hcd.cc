@@ -13,7 +13,7 @@ Status UsbHcdDriver::Probe(uml::DriverEnv& env) {
   env_ = &env;
   SUD_RETURN_IF_ERROR(env.PciEnableDevice());
   SUD_RETURN_IF_ERROR(env.PciSetMaster());
-  SUD_RETURN_IF_ERROR(env.RequestIrq([]() { /* transfer-done; polling model */ }));
+  SUD_RETURN_IF_ERROR(env.RequestIrq(1, [](uint16_t) { /* transfer-done; polling model */ }));
 
   Result<DmaRegion> schedule = env.DmaAllocCoherent(devices::kUsbTrbSize);
   Result<DmaRegion> data = env.DmaAllocCoherent(4096);

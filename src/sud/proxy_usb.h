@@ -19,14 +19,14 @@ namespace sud {
 class UsbHostProxy {
  public:
   UsbHostProxy(kern::Kernel* kernel, SudDeviceContext* ctx) : kernel_(kernel), ctx_(ctx) {
-    ctx_->set_downcall_handler([this](UchanMsg& msg, uint16_t /*queue*/) {
+    ctx_->set_downcall_handler([this](UchanMsg& msg, uint16_t queue) {
       switch (msg.opcode) {
         case kUsbDownKeyEvent:
           kernel_->input().SubmitKey(static_cast<uint8_t>(msg.args[0]));
           msg.error = 0;
           return;
         case kOpInterruptAck:
-          msg.error = static_cast<int32_t>(ctx_->InterruptAck().code());
+          msg.error = static_cast<int32_t>(ctx_->InterruptAck(queue).code());
           return;
         default:
           msg.error = static_cast<int32_t>(ErrorCode::kInvalidArgument);

@@ -125,7 +125,7 @@ void WirelessProxy::HandleDowncall(UchanMsg& msg, uint16_t shard) {
       return;
     }
     case kOpInterruptAck:
-      msg.error = static_cast<int32_t>(ctx_->InterruptAck().code());
+      msg.error = static_cast<int32_t>(ctx_->InterruptAck(shard).code());
       return;
     default:
       SUD_LOG(kWarning) << "wireless proxy: unknown downcall opcode " << msg.opcode;

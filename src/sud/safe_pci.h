@@ -148,7 +148,6 @@ class SudDeviceContext {
   // --- interrupt path ---------------------------------------------------------
   // interrupt_ack downcall target: driver finished handling queue `queue`'s
   // interrupt; unmask and deliver anything that pended.
-  Status InterruptAck() { return InterruptAck(0); }
   Status InterruptAck(uint16_t queue);
 
   struct InterruptStats {

@@ -358,13 +358,6 @@ Status Uchan::WaitForUpcallLocked(uint64_t timeout_ms, std::unique_lock<std::mut
   return Status::Ok();
 }
 
-Result<UchanMsg> Uchan::Wait(uint64_t timeout_ms) {
-  FlushDowncalls();
-  std::unique_lock<std::mutex> lock(mu_);
-  SUD_RETURN_IF_ERROR(WaitForUpcallLocked(timeout_ms, lock));
-  return PopUpcallLocked();
-}
-
 Result<std::vector<UchanMsg>> Uchan::WaitBatch(uint64_t timeout_ms, size_t max_msgs) {
   FlushDowncalls();
   std::unique_lock<std::mutex> lock(mu_);

@@ -14,18 +14,18 @@
 //                               SendAsyncBatch enqueues a whole burst under
 //                               one lock acquisition and one wakeup charge —
 //                               the NAPI-style crossing of Section 3.1.2.
-//  * sud_wait   -> Wait:        driver-side dequeue; polls the ring first
+//  * sud_wait   -> WaitBatch:   driver-side dequeue of up to a burst of
+//                               upcalls per crossing; polls the ring first
 //                               and only then "selects" (sleeps). Also the
 //                               flush point for batched async downcalls.
-//                               WaitBatch dequeues a burst per crossing.
 //  * sud_reply  -> Reply:       driver answers a synchronous upcall.
 //
 // Downcalls reverse the roles; per Section 3.1, the kernel returns results
 // of synchronous downcalls by writing into the caller's message rather than
 // sending a separate message — DowncallSync therefore takes the message by
 // reference and the handler mutates it in place. Async downcalls are
-// *batched* in the uchan library and flushed on the next Wait/SendSync entry
-// into the kernel (Section 3.1.2), which is the optimization the
+// *batched* in the uchan library and flushed on the next WaitBatch/SendSync
+// entry into the kernel (Section 3.1.2), which is the optimization the
 // abl_uchan_batching bench sweeps.
 //
 // Fast-path data structures: the kernel-to-user ring is a pre-sized ring
@@ -33,8 +33,9 @@
 // live in a small open-addressed seq->slot hash table instead of a std::map.
 //
 // Threading: kernel-side and driver-side calls may run on different threads
-// (DriverHost's threaded mode) or on one thread with a "pump" that runs the
-// driver's dispatch loop inline when the kernel would otherwise block.
+// (DriverHost's threaded mode: one driver thread per shard) or on one thread
+// with a "pump" that runs the driver's dispatch loop inline when the kernel
+// would otherwise block.
 
 #ifndef SUD_SRC_SUD_UCHAN_H_
 #define SUD_SRC_SUD_UCHAN_H_
@@ -214,12 +215,10 @@ class Uchan {
   void set_downcall_handler(DowncallHandler handler);
 
   // ---- driver (user-space) side -------------------------------------------
-  // Dequeues the next upcall. Flushes batched downcalls first. Returns
-  // kTimedOut if nothing arrives within `timeout_ms` (0 = poll only).
-  Result<UchanMsg> Wait(uint64_t timeout_ms);
   // Dequeues up to `max_msgs` pending upcalls under one lock acquisition —
-  // one modeled select/read crossing for the whole burst. Same timeout
-  // semantics as Wait; never returns an empty vector on success.
+  // one modeled select/read crossing for the whole burst. Flushes batched
+  // downcalls first. Returns kTimedOut if nothing arrives within
+  // `timeout_ms` (0 = poll only); never returns an empty vector on success.
   Result<std::vector<UchanMsg>> WaitBatch(uint64_t timeout_ms, size_t max_msgs);
   void Reply(const UchanMsg& request, UchanMsg reply);
   Status DowncallSync(UchanMsg& msg);

@@ -250,21 +250,17 @@ Result<ByteSpan> DirectEnv::DmaView(uint64_t iova, uint64_t len) {
   return dma_->HostView(iova, len);
 }
 
-Status DirectEnv::RequestIrq(std::function<void()> handler) {
-  return RequestQueueIrqs(1, [handler = std::move(handler)](uint16_t) { handler(); });
-}
-
-Status DirectEnv::RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {
-  if (num_queues == 0) {
-    num_queues = 1;
+Status DirectEnv::RequestIrq(uint16_t vectors, std::function<void(uint16_t)> handler) {
+  if (vectors == 0) {
+    vectors = 1;
   }
-  Result<uint8_t> base = kernel_->AllocIrqVectorRange(static_cast<uint8_t>(num_queues));
+  Result<uint8_t> base = kernel_->AllocIrqVectorRange(static_cast<uint8_t>(vectors));
   if (!base.ok()) {
     return base.status();
   }
   vector_ = base.value();
-  irq_vector_count_ = num_queues;
-  for (uint16_t q = 0; q < num_queues; ++q) {
+  irq_vector_count_ = vectors;
+  for (uint16_t q = 0; q < vectors; ++q) {
     SUD_RETURN_IF_ERROR(kernel_->RequestIrq(
         static_cast<uint8_t>(vector_ + q), [this, handler, q](uint16_t source_id) {
           CpuModel& cpu = kernel_->machine().cpu();
@@ -276,7 +272,7 @@ Status DirectEnv::RequestQueueIrqs(uint16_t num_queues, std::function<void(uint1
   device_->config().set_msi_data(vector_);
   device_->config().set_msi_enabled(true);
   if (kernel_->machine().iommu().interrupt_remapping()) {
-    for (uint16_t q = 0; q < num_queues; ++q) {
+    for (uint16_t q = 0; q < vectors; ++q) {
       SUD_RETURN_IF_ERROR(kernel_->machine().iommu().SetInterruptRemapEntry(
           device_->address().source_id(), static_cast<uint8_t>(vector_ + q),
           static_cast<uint8_t>(vector_ + q)));
@@ -376,10 +372,6 @@ void DirectEnv::NetifCarrierOff() {
   if (netdev_ != nullptr) {
     netdev_->set_carrier(false);
   }
-}
-
-void DirectEnv::FreeTxBuffer(int32_t pool_buffer_id) {
-  // In-kernel: the "buffer" was a bounce slot, recycled by AcquireTxBounce.
 }
 
 Status DirectEnv::RegisterWifi(uint32_t supported_features, WifiDriverOps ops) {

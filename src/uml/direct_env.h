@@ -46,18 +46,17 @@ class DirectEnv : public DriverEnv {
   Result<DmaRegion> DmaAllocCoherent(uint64_t bytes) override;
   Result<DmaRegion> DmaAllocCaching(uint64_t bytes) override;
   Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) override;
-  Status RequestIrq(std::function<void()> handler) override;
-  // In-kernel multi-queue: allocates a contiguous vector range and registers
-  // one kernel irq per queue, exactly how pci_alloc_irq_vectors + per-vector
-  // request_irq behave for a real MSI multi-message device.
-  Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) override;
+  // Allocates a contiguous vector range and registers one kernel irq per
+  // vector, exactly how pci_alloc_irq_vectors + per-vector request_irq
+  // behave for a real MSI multi-message device.
+  Status RequestIrq(uint16_t vectors, std::function<void(uint16_t)> handler) override;
   Status FreeIrq() override;
-  Status InterruptAck() override { return Status::Ok(); }  // in-kernel: nothing to unmask
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
   Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
-  void FreeTxBuffer(int32_t pool_buffer_id) override;
+  // In-kernel the "buffers" were bounce slots, recycled by AcquireTxBounce.
+  void FreeTxBuffers(uint16_t, std::span<const int32_t>) override {}
   Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) override;
   void WifiBssChange(bool associated) override;
   void WifiSetBitrates(const std::vector<uint32_t>& rates) override;

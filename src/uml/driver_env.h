@@ -49,7 +49,7 @@ struct NetDriverOps {
   // The list holds one fragment unless `sg` is set, is bounded by
   // kern::kMaxChainFrags, and every fragment fits one staging buffer. The
   // driver returns each fragment's pool buffer (pool_buffer_id >= 0) with
-  // FreeTxBuffer(s) once the frame has transmitted. `queue` is the TX queue
+  // FreeTxBuffers once the frame has transmitted. `queue` is the TX queue
   // the kernel's flow steering selected (always 0 for single-queue drivers).
   std::function<Status(std::span<const TxFrag> frags, uint16_t queue)> xmit;
   std::function<Result<std::string>(uint32_t cmd)> ioctl;
@@ -109,18 +109,12 @@ class DriverEnv {
   virtual Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) = 0;
 
   // --- interrupts
-  virtual Status RequestIrq(std::function<void()> handler) = 0;
+  // pci_alloc_irq_vectors + per-vector request_irq: `handler(q)` runs when
+  // queue q's interrupt fires. A single-vector device passes 1; q still names
+  // the queue the interrupt arrived for. Under SUD the runtime acks each
+  // interrupt itself once the handler returns (the "interrupt_ack" downcall).
+  virtual Status RequestIrq(uint16_t vectors, std::function<void(uint16_t)> handler) = 0;
   virtual Status FreeIrq() = 0;
-  // Signals end-of-interrupt handling ("interrupt_ack" downcall under SUD).
-  virtual Status InterruptAck() = 0;
-  // Multi-queue interrupt registration (pci_alloc_irq_vectors + per-vector
-  // request_irq): `handler(q)` runs when MSI message q fires. The default
-  // degrades to the single-vector path, collapsing every queue onto
-  // message 0 — correct for environments that predate per-queue vectors.
-  virtual Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {
-    (void)num_queues;
-    return RequestIrq([handler = std::move(handler)]() { handler(0); });
-  }
 
   // --- network subsystem
   virtual Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) = 0;
@@ -132,18 +126,11 @@ class DriverEnv {
   virtual Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) = 0;
   virtual void NetifCarrierOn() = 0;   // mirror macros (§3.3)
   virtual void NetifCarrierOff() = 0;
-  // Returns a transmitted shared-pool buffer (no-op in-kernel).
-  virtual void FreeTxBuffer(int32_t pool_buffer_id) = 0;
-  // TX completion coalescing: returns a whole reap pass worth of buffers in
-  // ONE downcall on queue `queue`'s shard (one message carrying the id
-  // array, against one message per id). The default loops for environments
-  // without the batched path.
-  virtual void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) {
-    (void)queue;
-    for (int32_t id : pool_buffer_ids) {
-      FreeTxBuffer(id);
-    }
-  }
+  // Returns transmitted shared-pool buffers (no-op in-kernel). A reap pass
+  // worth of buffers crosses in ONE downcall on queue `queue`'s shard (one
+  // message carrying the id array); a single buffer is a list of one on
+  // queue 0.
+  virtual void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) = 0;
 
   // --- wireless subsystem
   virtual Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) = 0;

@@ -46,10 +46,7 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
     return probed;
   }
 
-  if (mode == Mode::kThreaded) {
-    stop_requested_ = false;
-    threads_.emplace_back([this]() { ThreadLoop(); });
-  } else if (mode == Mode::kThreadedPerQueue) {
+  if (mode == Mode::kThreadedPerQueue) {
     stop_requested_ = false;
     for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
       threads_.emplace_back([this, q]() { QueueThreadLoop(q); });
@@ -58,12 +55,6 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
   SUD_LOG(kInfo) << name_ << ": driver " << driver_->name() << " started (pid "
                  << process_->pid() << ")";
   return Status::Ok();
-}
-
-void DriverHost::ThreadLoop() {
-  while (!stop_requested_) {
-    (void)runtime_->RunOnce(/*timeout_ms=*/5);
-  }
 }
 
 void DriverHost::QueueThreadLoop(uint16_t queue) {
@@ -86,7 +77,7 @@ Status DriverHost::KillLocked() {
   }
   stop_requested_ = true;
   for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
-    ctx_->ctl(q).Shutdown();  // unblocks threads stuck in Wait
+    ctx_->ctl(q).Shutdown();  // unblocks threads asleep in WaitBatch
   }
   for (std::thread& thread : threads_) {
     if (thread.joinable()) {
@@ -137,9 +128,9 @@ uint32_t DriverHost::pool_outstanding() const {
 
 void DriverHost::Pump() {
   // Comatose drivers never service their uchan (that is the point), and in
-  // the threaded modes the pump threads own the dispatch loop — draining from
-  // this thread too would race their per-queue rx arrays. The lifecycle lock
-  // keeps runtime_ alive against a concurrent supervisor Kill.
+  // threaded-per-queue mode the pump threads own the dispatch loop — draining
+  // from this thread too would race their per-queue rx arrays. The lifecycle
+  // lock keeps runtime_ alive against a concurrent supervisor Kill.
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (running_ && runtime_ != nullptr && mode_ == Mode::kPumped) {
     runtime_->ProcessPending();

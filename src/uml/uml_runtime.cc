@@ -126,34 +126,24 @@ Result<ByteSpan> UmlRuntime::DmaView(uint64_t iova, uint64_t len) {
   return ctx_->dma().HostView(iova, len);
 }
 
-Status UmlRuntime::RequestIrq(std::function<void()> handler) {
-  irq_handler_ = std::move(handler);
-  irq_queue_handler_ = nullptr;
-  return Status::Ok();
-}
-
-Status UmlRuntime::RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) {
-  if (num_queues > ctx_->num_queues()) {
+Status UmlRuntime::RequestIrq(uint16_t vectors, std::function<void(uint16_t)> handler) {
+  if (vectors > ctx_->num_queues()) {
     return Status(ErrorCode::kInvalidArgument,
                   "driver wants more irq vectors than the exported device has");
   }
-  irq_queue_handler_ = std::move(handler);
-  irq_handler_ = nullptr;
+  irq_handler_ = std::move(handler);
   return Status::Ok();
 }
 
 Status UmlRuntime::FreeIrq() {
   irq_handler_ = nullptr;
-  irq_queue_handler_ = nullptr;
   return Status::Ok();
 }
 
-Status UmlRuntime::InterruptAck() { return InterruptAckQueue(0); }
-
-Status UmlRuntime::InterruptAckQueue(uint16_t queue) {
+Status UmlRuntime::InterruptAck(uint16_t queue) {
   // The queue's pending rx array must be ordered ahead of this synchronous
   // entry on the same shard.
-  FlushRxPendingQueue(queue, /*enter_kernel=*/false);
+  FlushRxPending(queue, /*enter_kernel=*/false);
   UchanMsg msg;
   msg.opcode = kOpInterruptAck;
   msg.args[0] = queue;
@@ -165,18 +155,18 @@ Status UmlRuntime::SyncDowncall(uint32_t opcode, UchanMsg* msg) {
   // flushed first so this downcall never overtakes packet downcalls the same
   // execution batched earlier (per-shard order; other queues' arrays belong
   // to other pump threads and are unordered relative to shard 0 by design).
-  FlushRxPendingQueue(t_current_pump_queue, /*enter_kernel=*/false);
+  FlushRxPending(t_current_pump_queue, /*enter_kernel=*/false);
   msg->opcode = opcode;
   return ctx_->ctl().DowncallSync(*msg);
 }
 
 Status UmlRuntime::AsyncDowncall(UchanMsg msg) {
   // Later downcalls may not overtake netif_rx messages this thread queued.
-  FlushRxPendingQueue(t_current_pump_queue, /*enter_kernel=*/false);
+  FlushRxPending(t_current_pump_queue, /*enter_kernel=*/false);
   return ctx_->ctl().DowncallAsync(std::move(msg));
 }
 
-void UmlRuntime::FlushRxPendingQueue(uint16_t queue, bool enter_kernel) {
+void UmlRuntime::FlushRxPending(uint16_t queue, bool enter_kernel) {
   if (!rx_pending_[queue].empty()) {
     std::vector<UchanMsg> batch;
     batch.swap(rx_pending_[queue]);
@@ -186,12 +176,6 @@ void UmlRuntime::FlushRxPendingQueue(uint16_t queue, bool enter_kernel) {
   }
   if (enter_kernel) {
     ctx_->ctl(queue).FlushDowncalls();
-  }
-}
-
-void UmlRuntime::FlushRxPending(bool enter_kernel) {
-  for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
-    FlushRxPendingQueue(q, enter_kernel);
   }
 }
 
@@ -226,14 +210,14 @@ Status UmlRuntime::NetifRx(std::span<const DmaFrag> frags, uint16_t queue) {
   // NAPI accumulation: the message joins the queue's local rx array; the
   // whole array crosses into the kernel on the queue's shard once `depth`
   // packets — or a standard-frame-equivalent byte budget, for jumbo chains —
-  // are pending (or at the next flush point — Wait, a sync downcall —
+  // are pending (or at the next flush point — WaitBatch, a sync downcall —
   // whichever comes first).
   rx_pending_[queue].push_back(std::move(msg));
   rx_pending_bytes_[queue] += frame_bytes;
   uint32_t depth = ctx_->ctl(queue).config().batch_async_downcalls ? rx_batch_depth_ : 1;
   uint64_t byte_budget = static_cast<uint64_t>(depth) * kern::kStdMaxFrameBytes;
   if (rx_pending_[queue].size() >= depth || rx_pending_bytes_[queue] >= byte_budget) {
-    FlushRxPendingQueue(queue, /*enter_kernel=*/true);
+    FlushRxPending(queue, /*enter_kernel=*/true);
   }
   return Status::Ok();
 }
@@ -252,12 +236,6 @@ void UmlRuntime::NetifCarrierOff() {
   (void)AsyncDowncall(std::move(msg));
 }
 
-void UmlRuntime::FreeTxBuffer(int32_t pool_buffer_id) {
-  UchanMsg msg;
-  wire::EncodeFreeBuffers(&pool_buffer_id, 1, &msg);
-  (void)AsyncDowncall(std::move(msg));
-}
-
 void UmlRuntime::FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) {
   if (pool_buffer_ids.empty()) {
     return;
@@ -268,7 +246,7 @@ void UmlRuntime::FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buf
   // TX completion coalescing: one message carries the whole reap pass (a
   // single completion is simply a batch of one) instead of one
   // kEthDownFreeBuffer per transmitted buffer.
-  FlushRxPendingQueue(queue, /*enter_kernel=*/false);
+  FlushRxPending(queue, /*enter_kernel=*/false);
   UchanMsg msg;
   wire::EncodeFreeBuffers(pool_buffer_ids.data(), pool_buffer_ids.size(), &msg);
   (void)ctx_->ctl(queue).DowncallAsync(std::move(msg));
@@ -317,32 +295,6 @@ void UmlRuntime::SubmitKeyEvent(uint8_t usage_code) {
   (void)AsyncDowncall(std::move(msg));
 }
 
-Status UmlRuntime::RunOnce(uint64_t timeout_ms) {
-  // Hand any accumulated rx arrays to their shards' batches so the Wait
-  // entry (the flush point) carries them into the kernel.
-  FlushRxPending(/*enter_kernel=*/false);
-  // Poll every shard first (no sleeping): queue shards carry packet work.
-  for (uint16_t q = 1; q < ctx_->num_queues(); ++q) {
-    Result<UchanMsg> msg = ctx_->ctl(q).Wait(0);
-    if (msg.ok()) {
-      Dispatch(msg.value(), q);
-      queue_progress_[q].fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    if (msg.status().code() != ErrorCode::kTimedOut) {
-      return msg.status();
-    }
-  }
-  // Timed blocking on shard 0, the control lane.
-  Result<UchanMsg> msg = ctx_->ctl().Wait(timeout_ms);
-  if (!msg.ok()) {
-    return msg.status();
-  }
-  Dispatch(msg.value(), 0);
-  queue_progress_[0].fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
 Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
   t_current_pump_queue = queue;
   // Injected pump stall: this pass services NOTHING — no flush, no WaitBatch,
@@ -354,12 +306,12 @@ Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return Status(ErrorCode::kTimedOut, "pump stalled (injected)");
   }
-  FlushRxPendingQueue(queue, /*enter_kernel=*/false);
+  FlushRxPending(queue, /*enter_kernel=*/false);
   constexpr size_t kDispatchBurst = 64;
   Result<std::vector<UchanMsg>> batch = ctx_->ctl(queue).WaitBatch(timeout_ms, kDispatchBurst);
   if (!batch.ok()) {
     // Flush any downcalls the handlers batched before going idle.
-    FlushRxPendingQueue(queue, /*enter_kernel=*/true);
+    FlushRxPending(queue, /*enter_kernel=*/true);
     return batch.status();
   }
   for (UchanMsg& msg : batch.value()) {
@@ -441,37 +393,25 @@ void UmlRuntime::Dispatch(UchanMsg& msg, uint16_t shard) {
       if (queue >= ctx_->num_queues()) {
         queue = 0;
       }
-      if (irq_queue_handler_) {
-        irq_queue_handler_(queue);
-        // Re-enable the interrupt (on the queue's own shard, behind the rx
-        // array the poll produced), then poll once more: an event that fired
-        // while our interrupt was masked-and-coalesced left no pending MSI,
-        // so the classic NAPI poll/ack race is closed by re-polling after
-        // the ack. An empty re-poll touches no modeled state (descriptor
-        // peeks are host-side), so the charge stream is unchanged.
-        (void)InterruptAckQueue(queue);
-        irq_queue_handler_(queue);
-      } else {
-        if (irq_handler_) {
-          irq_handler_();
-        }
-        // Re-enable the device interrupt once handling completes, then poll
-        // once more — the same NAPI poll/ack race closure as the per-queue
-        // branch above. Without it, an event that arrived while this upcall
-        // was in flight is coalesced-and-masked by safe-PCI with no pending
-        // MSI, the legacy ICR stays asserted so every later cause is
-        // edge-suppressed, and the driver sleeps forever on a ring full of
-        // done descriptors (the threaded traffic-generator peers widened
-        // this window enough for TSAN runs to hit it every time).
-        // Ack the queue the upcall names, not queue 0: with no handler
-        // registered yet (the restart window between Bind and the fresh
-        // driver's RequestIrq) an upcall for queue q>0 must still clear
-        // q's in-flight flag, or every later MSI on q coalesces into a
-        // mask that no ack will ever lift.
-        (void)InterruptAckQueue(queue);
-        if (irq_handler_) {
-          irq_handler_();
-        }
+      // Re-enable the interrupt (on the queue's own shard, behind the rx
+      // array the poll produced), then poll once more: an event that fired
+      // while our interrupt was masked-and-coalesced left no pending MSI, so
+      // the classic NAPI poll/ack race is closed by re-polling after the
+      // ack. Without it, the legacy ICR stays asserted, every later cause is
+      // edge-suppressed, and the driver sleeps forever on a ring full of
+      // done descriptors. An empty per-queue re-poll touches no modeled
+      // state (descriptor peeks are host-side); the legacy ICR handler pays
+      // one modeled register read for it.
+      // The ack is unconditional: with no handler registered yet (the
+      // restart window between Bind and the fresh driver's RequestIrq) the
+      // upcall must still clear q's in-flight flag, or every later MSI on q
+      // coalesces into a mask that no ack will ever lift.
+      if (irq_handler_) {
+        irq_handler_(queue);
+      }
+      (void)InterruptAck(queue);
+      if (irq_handler_) {
+        irq_handler_(queue);
       }
       return;
     }

@@ -8,19 +8,20 @@
 //     Write become filtered syscalls, DmaAllocCoherent allocates through the
 //     dma_coherent device file (which installs the IOMMU mapping), and
 //     RequestIrq asks the kernel to forward interrupt upcalls;
-//  2. the upcall dispatch loop (RunOnce/ProcessPending) receives kernel
+//  2. the upcall dispatch loop (RunOnceQueue/ProcessPending) receives kernel
 //     upcalls and invokes the registered driver callbacks — with the
 //     idle-thread rule of Section 4.2: callbacks that may block are handed
 //     to a (modelled) worker-thread pool, non-blocking ones run inline;
 //  3. shared-memory state mirroring: netif_carrier_on/off and
 //     WifiSetBitrates become downcalls that update the kernel's copy.
 //
-// Multi-queue: the ctl file is sharded (one uchan ring pair per device
-// queue). The runtime keeps one NAPI rx accumulation array per queue and
-// flushes each into its own shard, dispatches queue q's upcalls from
-// RunOnceQueue/ProcessPendingQueue(q) (one pump thread per queue in
-// DriverHost's per-queue mode), and acks queue q's interrupt on shard q so
-// the ordering rx-before-ack holds per queue with no cross-queue lock.
+// Queues: the ctl file is sharded (one uchan ring pair per device queue; a
+// one-queue device is queue 0). The runtime keeps one NAPI rx accumulation
+// array per queue and flushes each into its own shard, dispatches queue q's
+// upcalls from RunOnceQueue/ProcessPendingQueue(q) (one pump thread per
+// queue when DriverHost runs threaded), and acks queue q's interrupt on
+// shard q so the ordering rx-before-ack holds per queue with no cross-queue
+// lock.
 
 #ifndef SUD_SRC_UML_UML_RUNTIME_H_
 #define SUD_SRC_UML_UML_RUNTIME_H_
@@ -59,15 +60,12 @@ class UmlRuntime : public DriverEnv {
   Result<DmaRegion> DmaAllocCoherent(uint64_t bytes) override;
   Result<DmaRegion> DmaAllocCaching(uint64_t bytes) override;
   Result<ByteSpan> DmaView(uint64_t iova, uint64_t len) override;
-  Status RequestIrq(std::function<void()> handler) override;
-  Status RequestQueueIrqs(uint16_t num_queues, std::function<void(uint16_t)> handler) override;
+  Status RequestIrq(uint16_t vectors, std::function<void(uint16_t)> handler) override;
   Status FreeIrq() override;
-  Status InterruptAck() override;
   Status RegisterNetdev(const uint8_t mac[6], NetDriverOps ops) override;
   Status NetifRx(std::span<const DmaFrag> frags, uint16_t queue = 0) override;
   void NetifCarrierOn() override;
   void NetifCarrierOff() override;
-  void FreeTxBuffer(int32_t pool_buffer_id) override;
   void FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buffer_ids) override;
   Status RegisterWifi(uint32_t supported_features, WifiDriverOps ops) override;
   void WifiBssChange(bool associated) override;
@@ -77,9 +75,6 @@ class UmlRuntime : public DriverEnv {
   void SubmitKeyEvent(uint8_t usage_code) override;
 
   // --- dispatch loop ----------------------------------------------------------
-  // Processes one pending upcall from any shard; kTimedOut when none arrive
-  // in time (timed blocking is on shard 0, the control lane).
-  Status RunOnce(uint64_t timeout_ms);
   // Per-queue pump: processes one batch of shard q's upcalls, blocking up to
   // `timeout_ms`. This is the body of DriverHost's per-queue threads.
   Status RunOnceQueue(uint16_t queue, uint64_t timeout_ms);
@@ -153,17 +148,15 @@ class UmlRuntime : public DriverEnv {
   // always enter the kernel *before* later downcalls on their shard (ring
   // order is per-shard; control rides shard 0).
   Status AsyncDowncall(UchanMsg msg);
-  void FlushRxPending(bool enter_kernel);
-  void FlushRxPendingQueue(uint16_t queue, bool enter_kernel);
+  void FlushRxPending(uint16_t queue, bool enter_kernel);
   // interrupt_ack for queue q, on shard q (after flushing its rx array).
-  Status InterruptAckQueue(uint16_t queue);
+  Status InterruptAck(uint16_t queue);
 
   kern::Kernel* kernel_;
   SudDeviceContext* ctx_;
   kern::Process* proc_;
 
-  std::function<void()> irq_handler_;
-  std::function<void(uint16_t)> irq_queue_handler_;
+  std::function<void(uint16_t)> irq_handler_;
   uint32_t rx_batch_depth_ = 64;
 
   // Accumulated netif_rx downcalls, one array per queue: worker thread q

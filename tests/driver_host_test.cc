@@ -1,6 +1,7 @@
-// DriverHost lifecycle tests: pumped / threaded / comatose modes, restart
-// semantics, resource reclamation across repeated kill cycles, and rlimit /
-// scheduling-policy plumbing (§4.1).
+// DriverHost lifecycle tests: pumped / threaded-per-queue / comatose modes,
+// restart semantics, resource reclamation across repeated kill cycles, rlimit
+// / scheduling-policy plumbing (§4.1), and the runtime's interrupt dispatch
+// (one RequestIrq entry, acked per queue even before a handler exists).
 
 #include <gtest/gtest.h>
 
@@ -67,8 +68,10 @@ TEST(DriverHost, ThreadedModeServicesUpcalls) {
   NetBench bench;
   ASSERT_TRUE(bench.host
                   ->Start(std::make_unique<drivers::E1000eDriver>(),
-                          uml::DriverHost::Mode::kThreaded)
+                          uml::DriverHost::Mode::kThreadedPerQueue)
                   .ok());
+  // A one-queue device gets one pump thread.
+  EXPECT_EQ(bench.host->thread_count(), 1u);
   // The open upcall is answered by the driver thread, not a pump.
   Status up = bench.kernel.net().BringUp("eth0");
   EXPECT_TRUE(up.ok()) << up.ToString();
@@ -92,9 +95,9 @@ TEST(DriverHost, KillUnblocksSleepingThread) {
   NetBench bench;
   ASSERT_TRUE(bench.host
                   ->Start(std::make_unique<drivers::E1000eDriver>(),
-                          uml::DriverHost::Mode::kThreaded)
+                          uml::DriverHost::Mode::kThreadedPerQueue)
                   .ok());
-  // The driver thread is asleep in Wait; Kill must join promptly.
+  // The driver thread is asleep in WaitBatch; Kill must join promptly.
   auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(bench.host->Kill().ok());
   auto elapsed = std::chrono::steady_clock::now() - start;
@@ -142,6 +145,84 @@ TEST(DriverHost, ProcessCarriesPolicyAndLimits) {
   // The e1000e's DMA footprint (rings + 16 MB buffers + pool) is charged.
   EXPECT_GT(proc->memory_used(), 16u * 1024 * 1024);
   EXPECT_LE(proc->memory_used(), proc->rlimits().memory_bytes);
+}
+
+// A driver that asks for `vectors` interrupt vectors (none when 0) and
+// records the queue of every handler call.
+class IrqRecordingDriver : public uml::Driver {
+ public:
+  explicit IrqRecordingDriver(uint16_t vectors) : vectors_(vectors) {}
+  const char* name() const override { return "irq-recorder"; }
+  Status Probe(uml::DriverEnv& env) override {
+    SUD_RETURN_IF_ERROR(env.PciEnableDevice());
+    SUD_RETURN_IF_ERROR(env.PciSetMaster());  // MSI writes are bus-master DMA
+    if (vectors_ > 0) {
+      request_irq = env.RequestIrq(vectors_, [this](uint16_t queue) { handled.push_back(queue); });
+    }
+    return Status::Ok();
+  }
+
+  Status request_irq = Status::Ok();
+  std::vector<uint16_t> handled;
+
+ private:
+  uint16_t vectors_;
+};
+
+NetBench::Options TwoQueues() {
+  NetBench::Options options;
+  options.nic_queues = 2;
+  return options;
+}
+
+// The restart window: the process is bound (MSIs forward as upcalls) but
+// the driver has not called RequestIrq yet. The runtime must still ack the
+// queue the upcall names, or the queue stays in flight and every later MSI
+// on it coalesces under a mask that no ack will ever lift.
+TEST(DriverHostIrq, UpcallBeforeRequestIrqStillAcksItsQueue) {
+  NetBench bench(TwoQueues());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<IrqRecordingDriver>(0)).ok());
+  const SudDeviceContext::InterruptStats& irq = bench.ctx->interrupt_stats();
+
+  ASSERT_TRUE(bench.sut_nic.RaiseMsi(1).ok());
+  EXPECT_EQ(irq.forwarded, 1u);
+  bench.host->Pump();  // no handler registered: dispatch only acks queue 1
+  EXPECT_EQ(bench.ctx->ctl(1).pending_upcalls(), 0u);
+
+  ASSERT_TRUE(bench.sut_nic.RaiseMsi(1).ok());
+  EXPECT_EQ(irq.forwarded, 2u);
+  EXPECT_EQ(irq.coalesced, 0u);
+  EXPECT_EQ(irq.mask_events, 0u);
+  EXPECT_FALSE(bench.sut_nic.config().msi_masked());
+  EXPECT_EQ(bench.ctx->ctl(1).pending_upcalls(), 1u);
+}
+
+TEST(DriverHostIrq, MoreVectorsThanQueuesIsRefused) {
+  NetBench bench(TwoQueues());
+  for (uint16_t vectors : {1, 2, 3}) {
+    auto driver = std::make_unique<IrqRecordingDriver>(vectors);
+    IrqRecordingDriver* recorder = driver.get();
+    ASSERT_TRUE(bench.host->Restart(std::move(driver)).ok());
+    EXPECT_EQ(recorder->request_irq.code(),
+              vectors > 2 ? ErrorCode::kInvalidArgument : ErrorCode::kOk)
+        << vectors << " vectors";
+  }
+}
+
+// A single-vector driver on a two-queue device: its one handler serves
+// both queues, called (poll, ack, re-poll) with the queue each upcall names.
+TEST(DriverHostIrq, OneVectorHandlerServesEveryQueue) {
+  NetBench bench(TwoQueues());
+  auto driver = std::make_unique<IrqRecordingDriver>(1);
+  IrqRecordingDriver* recorder = driver.get();
+  ASSERT_TRUE(bench.host->Start(std::move(driver)).ok());
+  ASSERT_TRUE(recorder->request_irq.ok());
+
+  ASSERT_TRUE(bench.sut_nic.RaiseMsi(0).ok());
+  ASSERT_TRUE(bench.sut_nic.RaiseMsi(1).ok());
+  bench.host->Pump();
+  EXPECT_EQ(recorder->handled, (std::vector<uint16_t>{0, 0, 1, 1}));
+  EXPECT_EQ(bench.ctx->interrupt_stats().coalesced, 0u);
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ class NetBench {
   }
 
   // Starts the SUT driver process (probe + open). kThreadedPerQueue gives
-  // each uchan shard its own pump thread (the multi-queue scaling mode).
+  // each uchan shard its own pump thread (one thread for a one-queue NIC).
   Status StartSut(uml::DriverHost::Mode mode = uml::DriverHost::Mode::kPumped) {
     auto driver = std::make_unique<drivers::E1000eDriver>(nic_queues_, mtu_);
     sut_driver = driver.get();

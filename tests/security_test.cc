@@ -192,7 +192,7 @@ TEST(Security, InterruptAckUnmasksAndRedelivers) {
 
   // The (eventually cooperative) driver acks: unmask + pended MSI fires.
   uint64_t handled_before = bench.kernel.interrupts_handled();
-  ASSERT_TRUE(bench.ctx->InterruptAck().ok());
+  ASSERT_TRUE(bench.ctx->InterruptAck(0).ok());
   EXPECT_FALSE(bench.sut_nic.config().msi_masked());
   EXPECT_GE(bench.kernel.interrupts_handled(), handled_before);
 }
