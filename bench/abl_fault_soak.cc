@@ -15,11 +15,12 @@
 //      attempt is accepted-or-counted, duplicated messages were rejected
 //      (never double-delivered — double delivery would break the equality),
 //      zero digest mismatches, and the buffer pool drains to zero.
-//   2. Stall — the storm clears and a Burst schedule wedges queue 1's pump
-//      ("uml.pump.stall.qN", the injected wedge). The supervisor's watchdog
-//      must detect the frozen heartbeat and restart the driver while the
-//      flows keep streaming; loss stays bounded by the in-flight windows per
-//      restart and the generators finish their budgets after recovery.
+//   2. Stall — the storm clears and, once queue 1 has traffic, a Burst
+//      schedule wedges queue 1's dispatch ("uml.pump.stall.qN", the injected
+//      wedge) while queue 1 keeps a window outstanding. The supervisor's
+//      watchdog must detect the frozen heartbeat and restart the driver while
+//      the flows keep streaming; loss stays bounded by the in-flight windows
+//      per restart and the generators finish their budgets after recovery.
 //   3. Clean — all sites disarmed, fresh flows: delivery must return to
 //      exactly lossless (sent == delivered in both directions, zero digest
 //      mismatches, no pool leak) — the "full recovery to clean throughput"
@@ -31,6 +32,7 @@
 // the first storm so the storm's shape is auditable after the fact.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -343,6 +345,14 @@ void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mo
     acked[q] = flows[q].acked;
     quota[q] = flows[q].count;
   }
+  // Queue 1 keeps its last window unacked until the first recovery: its
+  // generator cannot finish before the watchdog has acted, and keeps
+  // resending that window, so the wedge always holds traffic on any host.
+  std::atomic<bool> recovered{false};
+  flows[1].acked = [acked1 = acked[1], hold = quota[1] - kWindow, &recovered]() {
+    uint64_t acks = acked1();
+    return recovered.load(std::memory_order_relaxed) ? acks : std::min(acks, hold);
+  };
   auto flows_settled = [&]() {
     for (uint32_t q = 0; q < kQueues && q < bench.link.peer_count(); ++q) {
       if (acked[q]() < quota[q] && !bench.link.peer_stats(q).gave_up.load()) {
@@ -354,14 +364,15 @@ void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mo
 
   FaultInjector& injector = FaultInjector::Get();
   injector.ClearSchedules();
-  // A short run-in, then queue 1's pump freezes for as long as the engine
-  // stays armed; the bench disarms right after the watchdog's first recovery
-  // so the replacement driver comes up clean instead of re-wedging into the
-  // restart budget. Both dispatch modes evaluate this site: the per-queue
-  // pump thread hits it directly, and the single-threaded Pump() sweep hits
-  // it through ProcessPendingQueue's RunOnceQueue loop.
-  injector.Configure(kStallSite, FaultInjector::Burst(20, 1ull << 40));
-  injector.Arm(seed ^ kStallSalt);
+  // Queue 1's dispatch freezes from the first pass after the engine is armed
+  // for as long as it stays armed. The monitor loop arms it once queue 1 has
+  // traffic, and disarms right after the watchdog's first recovery so the
+  // replacement driver comes up clean instead of re-wedging into the restart
+  // budget. Both dispatch modes evaluate this site in RunOnceQueue: the
+  // per-queue thread for queue 1 directly, and the pumped step's sweep of
+  // every shard.
+  injector.Configure(kStallSite, FaultInjector::Burst(1, 1ull << 40));
+  const uint64_t q1_progress_base = bench.host->queue_progress(1);
 
   // Threaded generators in BOTH modes: the serial replay has no go-back-N,
   // and a wedged queue's whole in-flight window dies with the restart — only
@@ -372,9 +383,17 @@ void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mo
     sup.StartWatchdog();
   }
   bench.link.StartPeers(std::move(flows), /*side=*/1, /*give_up_ms=*/20000);
+  bool armed = false;
   bool disarmed = false;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(45);
   while (std::chrono::steady_clock::now() < deadline) {
+    // Queue 1 has traffic: an upcall waiting, or one serviced since the
+    // phase began (a per-queue thread drains its shard too fast to sample).
+    if (!armed && (bench.host->pending_upcalls(1) > 0 ||
+                   bench.host->queue_progress(1) > q1_progress_base)) {
+      injector.Arm(seed ^ kStallSalt);
+      armed = true;
+    }
     bench.host->Pump();
     if (!disarmed) {
       if (!threaded) {
@@ -383,6 +402,7 @@ void RunStall(NetBench& bench, uint64_t seed, bool threaded, uml::DriverHost::Mo
       if (sup.stats().watchdog_recoveries >= 1) {
         injector.Disarm();
         disarmed = true;
+        recovered.store(true, std::memory_order_relaxed);
       }
     }
     if (disarmed && flows_settled()) {

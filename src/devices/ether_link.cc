@@ -11,13 +11,14 @@ namespace sud::devices {
 namespace {
 // A generator quitting on a wedged consumer must say WHICH queue stalled and
 // where the flow stood — the breadcrumb that turns a silent CI shortfall
-// into a diagnosis (which shard hung, how far the consumer got).
+// into a diagnosis (which shard hung, how far the consumer got). Error level,
+// so the benches, which log errors only, print it.
 void LogPeerGaveUp(const char* mode, size_t flow, uint64_t sent, uint64_t budget,
                    uint64_t acked, bool paced) {
-  SUD_LOG(kWarning) << "ether peer (" << mode << "): flow " << flow
-                    << " gave up on a stalled consumer queue " << flow << " (sent " << sent
-                    << " of " << budget << ", consumer acked "
-                    << (paced ? std::to_string(acked) : std::string("unpaced")) << ")";
+  SUD_LOG(kError) << "ether peer (" << mode << "): flow " << flow
+                  << " gave up on a stalled consumer queue " << flow << " (sent " << sent
+                  << " of " << budget << ", consumer acked "
+                  << (paced ? std::to_string(acked) : std::string("unpaced")) << ")";
 }
 }  // namespace
 
@@ -93,10 +94,10 @@ void EtherLink::StartPeers(std::vector<PeerFlow> flows, int side, uint64_t give_
   for (auto& gen_ptr : peers_) {
     PeerGen* gen = gen_ptr.get();
     gen->thread = std::thread([this, gen, side, give_up_ms]() {
-      // Progress-based deadline: the clock only runs while window-blocked
-      // with no consumer movement, so a slow-but-live SUT is never abandoned.
-      // The rewind clock is separate — retransmitting into a dead consumer
-      // must not postpone the give-up verdict.
+      // Progress-based deadline: only consumer (ack) movement restarts the
+      // clock, so a slow-but-live SUT is never abandoned. Transmitting is not
+      // progress — a go-back-N resend into a consumer that never acks must
+      // not postpone the give-up verdict — and the rewind clock is separate.
       auto last_progress = std::chrono::steady_clock::now();
       auto last_rewind = last_progress;
       uint64_t last_acked = 0;
@@ -149,7 +150,6 @@ void EtherLink::StartPeers(std::vector<PeerFlow> flows, int side, uint64_t give_
           }
         }
         TransmitFromPeer(side, *gen);
-        last_progress = std::chrono::steady_clock::now();
       }
     });
   }

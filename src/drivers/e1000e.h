@@ -165,7 +165,7 @@ class E1000eDriver : public uml::Driver {
     E1000eDriver* driver_;
   };
 
-  // Per-queue ring state: owned exclusively by queue q's pump thread.
+  // Per-queue ring state: touched only by the owner of queue q's uchan shard.
   struct QueueState {
     DmaRegion tx_ring{};
     DmaRegion rx_ring{};

@@ -37,7 +37,7 @@
 // queue a downcall belongs to comes from the shard it arrived on — never
 // from driver-marshalled bytes — so a malicious driver cannot cross-talk
 // queues or corrupt another queue's bundle. Per-queue state is only ever
-// touched from its own shard's pump thread; shared counters are atomics.
+// touched by its own shard's owner; shared counters are atomics.
 //
 // The Options knobs exist for the ablation benches: zero_copy off models a
 // copying transmit path; guard_copy off reproduces the vulnerable
@@ -105,8 +105,8 @@ class EthernetProxy : public kern::NetDeviceOps {
 
   kern::NetDevice* netdev() { return netdev_; }
 
-  // Supervisor hook, called between Kill and the replacement Start (no pump
-  // threads alive): drops per-queue rx bundles still referencing the dead
+  // Supervisor hook, called between Kill and the replacement Start (no shard
+  // has an owner): drops per-queue rx bundles still referencing the dead
   // instance's buffers and resets the hung-driver accounting so the fresh
   // driver does not inherit its predecessor's strikes.
   void OnDriverRestart();
@@ -257,7 +257,7 @@ class EthernetProxy : public kern::NetDeviceOps {
     uint32_t refs = 0;
     uint32_t epoch = 0;
   };
-  // Guards the seal ledger. Skb release hooks run on the shard pump threads
+  // Guards the seal ledger. Skb release hooks run on the shard owners' threads
   // (end-of-entry bundle delivery), the supervisor's restart path and test
   // teardown; the ledger is the one structure they all touch.
   std::mutex seal_mu_;
@@ -270,16 +270,16 @@ class EthernetProxy : public kern::NetDeviceOps {
   // those members are alive.
   std::vector<kern::SkbPtr> held_rx_;
   // Guard-copied packets awaiting the end-of-entry NetifRxBatch delivery,
-  // one bundle per queue (only ever touched from that shard's pump thread).
+  // one bundle per queue (only ever touched by that shard's owner).
   std::array<std::vector<kern::SkbPtr>, kSudMaxQueues> rx_bundle_;
   // Highest downcall seq accepted per shard for netif_rx delivery: shard
   // seqs are assigned monotonically at enqueue and the channel preserves
   // per-shard order, so any non-increasing seq is a duplicate. Touched only
-  // from that shard's pump thread; reset (with the fresh uchan's seq space)
+  // by that shard's owner; reset (with the fresh uchan's seq space)
   // on driver restart.
   std::array<uint64_t, kSudMaxQueues> last_rx_seq_{};
   // Per-shard scratch for the validated views of a netif_rx fragment list
-  // (only touched from that shard's pump thread), kept here so the
+  // (only touched by that shard's owner), kept here so the
   // per-packet path does not initialize a chain-cap-sized array.
   std::array<std::array<ByteSpan, kern::kMaxChainFrags>, kSudMaxQueues> rx_views_{};
 };

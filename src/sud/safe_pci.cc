@@ -61,6 +61,9 @@ Status SudDeviceContext::Bind(kern::Process* proc) {
   // filtered away from it) and routes the vectors to this context. A
   // multi-queue device gets one contiguous multi-message range — queue q
   // signals vector_base + q, and each vector dispatches with its queue index.
+  // An MSI raised meanwhile waits for the fresh interrupt state and shards,
+  // so none masks the device against state this Bind then resets.
+  std::lock_guard<std::recursive_mutex> irq_lock(irq_mu_);
   Result<uint8_t> base = kernel_->AllocIrqVectorRange(static_cast<uint8_t>(num_queues_));
   if (!base.ok()) {
     return base.status();
@@ -241,10 +244,10 @@ Status SudDeviceContext::RequestIoRegion() {
 }
 
 void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id) {
+  std::lock_guard<std::recursive_mutex> lock(irq_mu_);
   if (!bound_ || queue >= num_queues_) {
     return;
   }
-  std::lock_guard<std::recursive_mutex> lock(irq_mu_);
   hw::Machine& machine = kernel_->machine();
   if (msi_source_id != source_id()) {
     // Our vector, someone else's requester id: a forged interrupt via stray
@@ -405,6 +408,8 @@ void SudDeviceContext::Teardown() {
     torn_down_ = true;
     return;
   }
+  // An interrupt being handled finishes first; later ones see bound_ false.
+  std::lock_guard<std::recursive_mutex> irq_lock(irq_mu_);
   hw::Machine& machine = kernel_->machine();
   if (shards_ != nullptr) {
     shards_->ShutdownAll();

@@ -205,7 +205,8 @@ class SudDeviceContext {
 
   uint8_t vector_base_ = 0;
   // Serializes interrupt bookkeeping (in-flight flags, MSI mask flips, storm
-  // counters) across the per-queue pump threads and the delivery thread.
+  // counters) across the shard owners' threads and the delivery thread, and
+  // orders it against Bind and Teardown replacing that state.
   // Recursive: InterruptAck's unmask re-delivers pended MSIs, which re-enter
   // OnDeviceInterrupt on the same call stack.
   std::recursive_mutex irq_mu_;

@@ -16,6 +16,9 @@ constexpr size_t kInitialReplySlots = 64;  // power of two
 // still fails — just these few hundred microseconds later.
 constexpr int kRingFullRetries = 2;
 constexpr uint64_t kRingFullBackoffUs = 100;
+// How often a sync sender whose step found the driver owned elsewhere retries
+// the claim: the owner may have ended its sweep just before the upcall came.
+constexpr auto kClaimRetry = std::chrono::milliseconds(1);
 }  // namespace
 
 const CpuCosts& Uchan::costs() const {
@@ -55,9 +58,20 @@ void Uchan::set_downcall_flush_handler(std::function<void()> handler) {
   downcall_flush_handler_ = std::move(handler);
 }
 
-void Uchan::set_user_pump(std::function<void()> pump) {
+void Uchan::set_driver_step(std::function<bool()> step) {
   std::lock_guard<std::mutex> lock(mu_);
-  user_pump_ = std::move(pump);
+  driver_step_ = std::move(step);
+}
+
+bool Uchan::StepDriverLocked(std::unique_lock<std::mutex>& lock) {
+  if (!driver_step_) {
+    return false;
+  }
+  auto step = driver_step_;
+  lock.unlock();
+  bool ran = step();
+  lock.lock();
+  return ran;
 }
 
 // ---- reply slot table -------------------------------------------------------
@@ -207,37 +221,29 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
 
   auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(config_.sync_timeout_ms);
+  bool stepped = false;
   while (!shutdown_) {
     ReplySlot* slot = FindReplyLocked(seq);
     if (slot != nullptr && slot->state == SlotState::kReady) {
       break;
     }
-    if (user_pump_) {
-      // Single-threaded harness: run the driver inline instead of blocking.
-      auto pump = user_pump_;
-      lock.unlock();
-      pump();
-      lock.lock();
-      slot = FindReplyLocked(seq);
-      if ((slot != nullptr && slot->state == SlotState::kReady) || shutdown_) {
-        break;
-      }
-      // Driver ran but did not reply: a hung or malicious driver. The upcall
-      // is interruptable — give up.
-      stats_.upcalls_timed_out++;
-      EraseReplyLocked(seq);
-      return Status(ErrorCode::kTimedOut, "synchronous upcall interrupted (driver unresponsive)");
-    }
-    if (reply_cv_.wait_until(lock, deadline) == std::cv_status::timeout) {
-      slot = FindReplyLocked(seq);
-      if (slot != nullptr && slot->state == SlotState::kReady) {
-        break;
-      }
+    auto now = std::chrono::steady_clock::now();
+    if (now >= deadline) {
       stats_.upcalls_timed_out++;
       // Erase the pending slot so a late Reply is dropped instead of parking
       // an orphaned entry in the table forever.
       EraseReplyLocked(seq);
       return Status(ErrorCode::kTimedOut, "synchronous upcall timed out");
+    }
+    // Step a pumped driver once, if this thread can claim it; after that the
+    // reply can only come from the driver's owner, so wait for it.
+    if (!stepped && driver_step_) {
+      stepped = StepDriverLocked(lock);
+      if (!stepped) {
+        reply_cv_.wait_until(lock, std::min(deadline, now + kClaimRetry));
+      }
+    } else {
+      reply_cv_.wait_until(lock, deadline);
     }
   }
   ReplySlot* slot = FindReplyLocked(seq);
@@ -250,10 +256,10 @@ Result<UchanMsg> Uchan::SendSync(UchanMsg msg) {
   return reply;
 }
 
-// Gives a kQueueFull enqueue its bounded second chance: runs the pump (the
-// driver's inline dispatch, single-threaded harnesses) or waits briefly for
-// the driver threads to pop something. Returns the final enqueue status;
-// `msg` is untouched on failure (EnqueueUpcallLocked moves only on success).
+// Gives a kQueueFull enqueue its bounded second chance: steps the driver if
+// this thread can claim it, or waits briefly for the driver's owner to pop
+// something. Returns the final enqueue status; `msg` is untouched on failure
+// (EnqueueUpcallLocked moves only on success).
 Status Uchan::RetryEnqueueLocked(UchanMsg& msg, Status status,
                                  std::unique_lock<std::mutex>& lock) {
   for (int attempt = 0;
@@ -261,12 +267,7 @@ Status Uchan::RetryEnqueueLocked(UchanMsg& msg, Status status,
        !shutdown_;
        ++attempt) {
     stats_.ring_full_retries++;
-    if (user_pump_) {
-      auto pump = user_pump_;
-      lock.unlock();
-      pump();
-      lock.lock();
-    } else {
+    if (!StepDriverLocked(lock)) {
       space_cv_.wait_for(lock, std::chrono::microseconds(kRingFullBackoffUs));
     }
     status = EnqueueUpcallLocked(std::move(msg));
@@ -582,12 +583,6 @@ void UchanShardSet::set_downcall_handler(QueuedDowncallHandler handler) {
 void UchanShardSet::set_downcall_flush_handler(QueuedFlushHandler handler) {
   for (uint32_t q = 0; q < count(); ++q) {
     shards_[q]->set_downcall_flush_handler([handler, q]() { handler(static_cast<uint16_t>(q)); });
-  }
-}
-
-void UchanShardSet::set_user_pump(std::function<void()> pump) {
-  for (auto& shard : shards_) {
-    shard->set_user_pump(pump);
   }
 }
 

@@ -32,10 +32,11 @@
 // buffer (no per-message heap allocation for queue nodes), and sync replies
 // live in a small open-addressed seq->slot hash table instead of a std::map.
 //
-// Threading: kernel-side and driver-side calls may run on different threads
-// (DriverHost's threaded mode: one driver thread per shard) or on one thread
-// with a "pump" that runs the driver's dispatch loop inline when the kernel
-// would otherwise block.
+// Threading: driver-side calls run only on the thread that owns the shard
+// (DriverHost's owner tokens: a per-queue worker thread, or whichever thread
+// claimed every shard for a pumped step). A kernel-side caller that must
+// wait on the driver steps it through the driver-step hook when that claim
+// succeeds, and otherwise waits on the channel until its deadline.
 
 #ifndef SUD_SRC_SUD_UCHAN_H_
 #define SUD_SRC_SUD_UCHAN_H_
@@ -234,9 +235,10 @@ class Uchan {
   // guard-copied rx bundle to the stack in one NAPI-style delivery.
   void set_downcall_flush_handler(std::function<void()> handler);
 
-  // Single-threaded harness support: when set, SendSync runs the pump
-  // (usually the driver's dispatch loop) instead of blocking on the ring.
-  void set_user_pump(std::function<void()> pump);
+  // A pumped driver has no thread of its own, so a caller that must wait on
+  // it (SendSync, the ring-full retry) first steps it. The step runs the
+  // driver only if it can claim the driver's owner tokens, and says if it did.
+  void set_driver_step(std::function<bool()> step);
 
   // Channel teardown (driver killed / device revoked): every blocked or
   // future call fails with kUnavailable.
@@ -275,6 +277,8 @@ class Uchan {
   // Bounded ring-full retry/backoff for the async send paths; `msg` is
   // intact on failure (EnqueueUpcallLocked moves only on success).
   Status RetryEnqueueLocked(UchanMsg& msg, Status status, std::unique_lock<std::mutex>& lock);
+  // Runs the driver-step hook with the lock dropped; true if the driver ran.
+  bool StepDriverLocked(std::unique_lock<std::mutex>& lock);
   void RunDowncallLocked(UchanMsg& msg, std::unique_lock<std::mutex>& lock);
   // Blocks until the ring is non-empty (or timeout/shutdown); returns Ok when
   // at least one message is dequeueable. Charges the select/read syscall when
@@ -307,7 +311,7 @@ class Uchan {
   std::vector<UchanMsg> downcall_batch_;  // user-side pending async downcalls
   DowncallHandler downcall_handler_;
   std::function<void()> downcall_flush_handler_;
-  std::function<void()> user_pump_;
+  std::function<bool()> driver_step_;
   uint64_t next_seq_ = 1;
   bool shutdown_ = false;
   bool driver_idle_ = true;  // true while the driver would be asleep in select
@@ -337,7 +341,6 @@ class UchanShardSet {
 
   void set_downcall_handler(QueuedDowncallHandler handler);
   void set_downcall_flush_handler(QueuedFlushHandler handler);
-  void set_user_pump(std::function<void()> pump);  // installed on every shard
 
   void ShutdownAll();
   // Sum of every shard's counters: the single-lane view.

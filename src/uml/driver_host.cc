@@ -26,20 +26,16 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
   }
   process_ = &kernel_->processes().Spawn(name_, uid_);
   SUD_RETURN_IF_ERROR(ctx_->Bind(process_));
+  const uint16_t queues = static_cast<uint16_t>(ctx_->num_queues());
+  (void)Claim(0, queues, /*block=*/true);
   runtime_ = std::make_unique<UmlRuntime>(kernel_, ctx_, process_);
   driver_ = std::move(driver);
   mode_ = mode;
   running_ = true;
-
-  if (mode == Mode::kPumped) {
-    ctx_->ctl().set_user_pump([this]() {
-      if (runtime_ != nullptr) {
-        runtime_->ProcessPending();
-      }
-    });
-  }
+  ctx_->ctl().set_driver_step([this]() { return Pump(); });
 
   Status probed = driver_->Probe(*runtime_);
+  Release(0, queues);
   if (!probed.ok()) {
     SUD_LOG(kWarning) << name_ << ": probe failed: " << probed.ToString();
     (void)KillLocked();
@@ -48,7 +44,7 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
 
   if (mode == Mode::kThreadedPerQueue) {
     stop_requested_ = false;
-    for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
+    for (uint16_t q = 0; q < queues; ++q) {
       threads_.emplace_back([this, q]() { QueueThreadLoop(q); });
     }
   }
@@ -58,12 +54,14 @@ Status DriverHost::StartLocked(std::unique_ptr<Driver> driver, Mode mode) {
 }
 
 void DriverHost::QueueThreadLoop(uint16_t queue) {
-  // One pump per uchan shard: this thread only ever touches queue-`queue`
-  // state (its ring pair, its rx array, its descriptor rings), so the packet
-  // path scales across queues without a shared lock.
+  // This thread owns shard `queue` for its whole life: it only ever touches
+  // queue-`queue` state (its ring pair, its rx array, its descriptor rings),
+  // so the packet path scales across queues without a shared lock.
+  (void)Claim(queue, 1, /*block=*/true);
   while (!stop_requested_) {
     (void)runtime_->RunOnceQueue(queue, /*timeout_ms=*/5);
   }
+  Release(queue, 1);
 }
 
 Status DriverHost::Kill() {
@@ -85,11 +83,15 @@ Status DriverHost::KillLocked() {
     }
   }
   threads_.clear();
+  // A step in progress on another thread finishes before anything goes.
+  const uint16_t queues = static_cast<uint16_t>(ctx_->num_queues());
+  (void)Claim(0, queues, /*block=*/true);
   (void)kernel_->processes().Kill(process_->pid());
   ctx_->Teardown();  // the kernel reclaims every granted resource
   running_ = false;
   runtime_.reset();
   driver_.reset();
+  Release(0, queues);
   SUD_LOG(kInfo) << name_ << ": killed and reclaimed";
   return Status::Ok();
 }
@@ -100,6 +102,49 @@ Status DriverHost::Restart(std::unique_ptr<Driver> driver, Mode mode) {
     SUD_RETURN_IF_ERROR(KillLocked());
   }
   return StartLocked(std::move(driver), mode);
+}
+
+bool DriverHost::Claim(uint16_t first, uint16_t count, bool block) {
+  const std::thread::id self = std::this_thread::get_id();
+  for (uint16_t q = first; q < first + count; ++q) {
+    OwnerToken& token = owners_[q];
+    // A thread inside shard q's dispatch never claims q again, so it never
+    // re-enters the driver.
+    bool taken = token.holder.load(std::memory_order_relaxed) != self;
+    if (taken && block) {
+      token.mu.lock();
+    } else if (taken) {
+      taken = token.mu.try_lock();
+    }
+    if (!taken) {
+      Release(first, q - first);
+      return false;
+    }
+    token.holder.store(self, std::memory_order_relaxed);
+  }
+  return true;
+}
+
+void DriverHost::Release(uint16_t first, uint16_t count) {
+  for (uint16_t q = first; q < first + count; ++q) {
+    owners_[q].holder.store(std::thread::id(), std::memory_order_relaxed);
+    owners_[q].mu.unlock();
+  }
+}
+
+bool DriverHost::Pump() {
+  const uint16_t queues = static_cast<uint16_t>(ctx_->num_queues());
+  if (!Claim(0, queues, /*block=*/false)) {
+    return false;
+  }
+  // Comatose drivers never service their uchan (that is the point), and in
+  // threaded mode each shard belongs to its own thread.
+  bool ran = running_ && mode_ == Mode::kPumped;
+  if (ran) {
+    runtime_->ProcessPending();
+  }
+  Release(0, queues);
+  return ran;
 }
 
 uint64_t DriverHost::queue_progress(uint16_t queue) const {
@@ -124,17 +169,6 @@ uint32_t DriverHost::pool_outstanding() const {
     return 0;
   }
   return ctx_->pool().outstanding();
-}
-
-void DriverHost::Pump() {
-  // Comatose drivers never service their uchan (that is the point), and in
-  // threaded-per-queue mode the pump threads own the dispatch loop — draining
-  // from this thread too would race their per-queue rx arrays. The lifecycle
-  // lock keeps runtime_ alive against a concurrent supervisor Kill.
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (running_ && runtime_ != nullptr && mode_ == Mode::kPumped) {
-    runtime_->ProcessPending();
-  }
 }
 
 }  // namespace sud::uml

@@ -8,19 +8,22 @@
 // starts a fresh driver instance against a re-bound context, demonstrating
 // that recovery needs nothing beyond process machinery.
 //
-// Execution modes:
-//  * pumped (default): the driver's dispatch loop runs inline whenever the
-//    kernel would block on it — deterministic, used by tests and benches;
-//  * threaded-per-queue: one std::thread per uchan shard (one for a
-//    single-queue device), each pumping its own queue's ring pair — real
-//    concurrency for the liveness tests, and the multi-queue scaling
-//    configuration, where the packet path runs with no lock shared between
-//    queues;
+// Ownership: driver code for uchan shard q runs only on the thread holding
+// q's owner token, as driver code runs only in the driver process's own
+// sud_wait loop (§3.1). Start and Kill hold every token while they swap the
+// driver or reclaim the device. The modes differ in who holds the tokens:
+//  * pumped (default): Pump(), or a kernel-side caller blocked on the
+//    driver, claims every shard without blocking (or none) and drains them
+//    — deterministic, used by tests and benches;
+//  * threaded-per-queue: one std::thread per shard, holding its own token
+//    for life — real concurrency, and the multi-queue scaling configuration,
+//    where the packet path shares no lock between queues;
 //  * comatose: the process exists but nothing ever services its uchan.
 
 #ifndef SUD_SRC_UML_DRIVER_HOST_H_
 #define SUD_SRC_UML_DRIVER_HOST_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -59,11 +62,11 @@ class DriverHost {
   // Restart with a fresh driver instance (usually the same type).
   Status Restart(std::unique_ptr<Driver> driver, Mode mode = Mode::kPumped);
 
-  // Pumped mode: process pending upcalls now. In threaded-per-queue mode
-  // this is a no-op — the pump threads own the dispatch loop, and draining
-  // shards from the caller's thread as well would race the per-queue rx
-  // arrays that each pump thread touches without a lock.
-  void Pump();
+  // The pumped step, also the uchan's driver-step hook: claims every shard
+  // without blocking and, in pumped mode, drains their pending upcalls.
+  // Returns whether it ran the driver — false if any shard has another owner
+  // (including this thread's own enclosing dispatch).
+  bool Pump();
 
   bool running() const { return running_; }
   Mode mode() const { return mode_; }
@@ -85,9 +88,18 @@ class DriverHost {
   uint32_t pool_outstanding() const;
 
  private:
+  struct OwnerToken {
+    std::mutex mu;
+    std::atomic<std::thread::id> holder{};
+  };
+
   void QueueThreadLoop(uint16_t queue);
   Status StartLocked(std::unique_ptr<Driver> driver, Mode mode);
   Status KillLocked();
+  // Claims tokens [first, first + count): blocking, or all-or-none without.
+  // A token this thread already holds is never claimed again.
+  bool Claim(uint16_t first, uint16_t count, bool block);
+  void Release(uint16_t first, uint16_t count);
 
   kern::Kernel* kernel_;
   SudDeviceContext* ctx_;
@@ -99,9 +111,10 @@ class DriverHost {
   std::vector<std::thread> threads_;  // one per shard (kThreadedPerQueue)
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> running_{false};
-  Mode mode_ = Mode::kPumped;
+  Mode mode_ = Mode::kPumped;  // written only while holding every token
+  std::array<OwnerToken, kSudMaxQueues> owners_;
   // Serializes Start/Kill/Restart (supervisor recovery vs concurrent admin
-  // kill); never held while pump threads dispatch.
+  // kill) and the watchdog snapshots; driver code never runs under it.
   mutable std::mutex lifecycle_mu_;
 };
 

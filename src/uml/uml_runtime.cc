@@ -13,10 +13,10 @@
 namespace sud::uml {
 
 namespace {
-// The queue whose pump loop this thread is currently inside (0 outside any
-// pump, e.g. during probe). Control downcalls flush ONLY this queue's rx
-// array: flushing every queue would touch other pump threads' slots, and
-// cross-shard ordering is deliberately undefined anyway.
+// The queue whose dispatch this thread is currently inside (0 outside any
+// dispatch, e.g. during probe). Control downcalls flush ONLY this queue's rx
+// array: flushing every queue would touch slots other shards' owners use,
+// and cross-shard ordering is deliberately undefined anyway.
 thread_local uint16_t t_current_pump_queue = 0;
 
 // Per-queue pump-stall site names, built once: the hot path hands the fault
@@ -154,7 +154,7 @@ Status UmlRuntime::SyncDowncall(uint32_t opcode, UchanMsg* msg) {
   // Control rides shard 0. The calling thread's own pending rx array is
   // flushed first so this downcall never overtakes packet downcalls the same
   // execution batched earlier (per-shard order; other queues' arrays belong
-  // to other pump threads and are unordered relative to shard 0 by design).
+  // to other shards' owners and are unordered relative to shard 0 by design).
   FlushRxPending(t_current_pump_queue, /*enter_kernel=*/false);
   msg->opcode = opcode;
   return ctx_->ctl().DowncallSync(*msg);
@@ -302,7 +302,6 @@ Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
   // heartbeat while upcalls pile up, which is exactly the signature the
   // supervisor's watchdog must catch.
   if (SUD_FAULT_POINT(PumpStallSite(queue))) {
-    stats_.injected_pump_stalls.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return Status(ErrorCode::kTimedOut, "pump stalled (injected)");
   }
@@ -321,34 +320,22 @@ Status UmlRuntime::RunOnceQueue(uint16_t queue, uint64_t timeout_ms) {
   return Status::Ok();
 }
 
-size_t UmlRuntime::ProcessPendingQueue(uint16_t queue) {
-  // One WaitBatch crossing dequeues a whole burst of upcalls; interrupt
-  // handlers then refill the rx array, which the next iteration's WaitBatch
-  // (or the final flush) carries into the kernel.
-  size_t rounds = 0;
-  while (RunOnceQueue(queue, 0).ok()) {
-    ++rounds;
-  }
-  return rounds;
-}
-
 void UmlRuntime::ProcessPending() {
-  if (ctx_->num_queues() == 1) {
-    (void)ProcessPendingQueue(0);
-    return;
-  }
-  // Drain every shard; keep sweeping while any shard had work, because
-  // handling one queue's upcalls can enqueue messages on another (e.g. a
-  // control reply triggering a transmit).
+  // Drains every shard. One WaitBatch crossing dequeues a whole burst of
+  // upcalls; interrupt handlers then refill the rx array, which the next
+  // pass's WaitBatch (or the final flush) carries into the kernel. With
+  // several shards, keep sweeping while any shard had work, because handling
+  // one queue's upcalls can enqueue messages on another (e.g. a control
+  // reply triggering a transmit).
   bool any;
   do {
     any = false;
     for (uint16_t q = 0; q < ctx_->num_queues(); ++q) {
-      if (ProcessPendingQueue(q) > 0) {
+      while (RunOnceQueue(q, 0).ok()) {
         any = true;
       }
     }
-  } while (any);
+  } while (any && ctx_->num_queues() > 1);
 }
 
 void UmlRuntime::RejectUpcall(UchanMsg& msg, wire::Malform verdict) {

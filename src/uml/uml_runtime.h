@@ -18,10 +18,10 @@
 // Queues: the ctl file is sharded (one uchan ring pair per device queue; a
 // one-queue device is queue 0). The runtime keeps one NAPI rx accumulation
 // array per queue and flushes each into its own shard, dispatches queue q's
-// upcalls from RunOnceQueue/ProcessPendingQueue(q) (one pump thread per
-// queue when DriverHost runs threaded), and acks queue q's interrupt on
-// shard q so the ordering rx-before-ack holds per queue with no cross-queue
-// lock.
+// upcalls from RunOnceQueue(q) on the thread that owns shard q (a per-queue
+// thread when DriverHost runs threaded, the pumped step otherwise), and acks
+// queue q's interrupt on shard q so the ordering rx-before-ack holds per
+// queue with no cross-queue lock.
 
 #ifndef SUD_SRC_UML_UML_RUNTIME_H_
 #define SUD_SRC_UML_UML_RUNTIME_H_
@@ -75,16 +75,14 @@ class UmlRuntime : public DriverEnv {
   void SubmitKeyEvent(uint8_t usage_code) override;
 
   // --- dispatch loop ----------------------------------------------------------
-  // Per-queue pump: processes one batch of shard q's upcalls, blocking up to
-  // `timeout_ms`. This is the body of DriverHost's per-queue threads.
+  // Processes one batch of shard q's upcalls, blocking up to `timeout_ms`.
+  // The caller owns shard q. This is the body of DriverHost's per-queue
+  // threads.
   Status RunOnceQueue(uint16_t queue, uint64_t timeout_ms);
-  // Drains all pending upcalls on every shard without sleeping (the
-  // single-threaded pump). Dequeues in WaitBatch bursts: one modeled
-  // crossing per burst.
+  // Drains all pending upcalls on every shard without sleeping (the pumped
+  // step; the caller owns every shard). Dequeues in WaitBatch bursts: one
+  // modeled crossing per burst.
   void ProcessPending();
-  // Drains one shard only (safe to call concurrently for different queues);
-  // returns how many bursts it dispatched.
-  size_t ProcessPendingQueue(uint16_t queue);
 
   // NAPI rx batching: netif_rx downcalls accumulate per queue until `depth`
   // packets are pending, then that queue's array is flushed into its shard
@@ -109,9 +107,6 @@ class UmlRuntime : public DriverEnv {
     // Malformed kEthUpXmit messages (count/payload mismatch, bogus pool ids,
     // over-cap or oversize records) rejected before any DMA arming.
     std::atomic<uint64_t> xmit_rejected{0};
-    // Pump passes swallowed by the "uml.pump.stall.qN" fault sites (the
-    // injected wedge the supervisor's watchdog must detect).
-    std::atomic<uint64_t> injected_pump_stalls{0};
     // Transmit upcalls the driver refused (ring full, interface down, DMA
     // window unavailable): the frame is gone but its staging buffers were
     // returned — a counted drop on the TX conservation ledger.
@@ -159,13 +154,13 @@ class UmlRuntime : public DriverEnv {
   std::function<void(uint16_t)> irq_handler_;
   uint32_t rx_batch_depth_ = 64;
 
-  // Accumulated netif_rx downcalls, one array per queue: worker thread q
-  // touches only slot q. rx_pending_bytes_ tracks the packet payload the
+  // Accumulated netif_rx downcalls, one array per queue: slot q is touched
+  // only by shard q's owner. rx_pending_bytes_ tracks the packet payload the
   // array references (the bundle byte budget).
   std::array<std::vector<UchanMsg>, kSudMaxQueues> rx_pending_;
   std::array<uint64_t, kSudMaxQueues> rx_pending_bytes_{};
-  // Per-shard decode scratch for xmit upcalls (only ever touched from that
-  // shard's pump thread): the fragment list handed to the driver, kept here
+  // Per-shard decode scratch for xmit upcalls (only ever touched by that
+  // shard's owner): the fragment list handed to the driver, kept here
   // so the per-packet path does not initialize a chain-cap-sized array.
   std::array<std::array<TxFrag, kern::kMaxChainFrags>, kSudMaxQueues> xmit_frags_{};
   NetDriverOps net_ops_;

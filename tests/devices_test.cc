@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -895,6 +896,29 @@ TEST(EtherLinkTest, StopPeersEndsGenerationEarly) {
   link.StopPeers();
   EXPECT_LE(link.peer_stats(0).frames.load(), 16u + 8u);
   EXPECT_GT(link.peer_stats(0).frames.load(), 0u);
+}
+
+// Resending is not progress: a flow whose consumer never acks keeps
+// rewinding and resending its window, and must still give up once the
+// give-up bound passes with no ack movement.
+TEST(EtherLinkTest, RetransmittingFlowGivesUpOnConsumerThatNeverAcks) {
+  EtherLink link;
+  AtomicFrameSink sink;
+  link.Attach(0, &sink);
+  std::vector<EtherLink::PeerFlow> flows(1);
+  flows[0].frame.assign(64, 0x5a);
+  flows[0].count = 1000;
+  flows[0].window = 8;
+  flows[0].acked = []() { return uint64_t{0}; };
+  flows[0].retransmit_on_stall_ms = 5;
+  link.StartPeers(std::move(flows), /*side=*/1, /*give_up_ms=*/50);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (!link.peer_stats(0).gave_up.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  link.StopPeers();  // bounds the test even if the generator never gives up
+  EXPECT_TRUE(link.peer_stats(0).gave_up.load());
+  EXPECT_GT(link.peer_stats(0).rewinds.load(), 0u);
 }
 
 }  // namespace

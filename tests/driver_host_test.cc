@@ -1,7 +1,8 @@
 // DriverHost lifecycle tests: pumped / threaded-per-queue / comatose modes,
 // restart semantics, resource reclamation across repeated kill cycles, rlimit
-// / scheduling-policy plumbing (§4.1), and the runtime's interrupt dispatch
-// (one RequestIrq entry, acked per queue even before a handler exists).
+// / scheduling-policy plumbing (§4.1), the runtime's interrupt dispatch
+// (one RequestIrq entry, acked per queue even before a handler exists), and
+// the owner rule (driver code runs only on the thread holding its shards).
 
 #include <gtest/gtest.h>
 
@@ -223,6 +224,94 @@ TEST(DriverHostIrq, OneVectorHandlerServesEveryQueue) {
   bench.host->Pump();
   EXPECT_EQ(recorder->handled, (std::vector<uint16_t>{0, 0, 1, 1}));
   EXPECT_EQ(bench.ctx->interrupt_stats().coalesced, 0u);
+}
+
+// A network driver whose open and ioctl ops run the test's callbacks, on
+// whatever thread dispatches them.
+class ScriptedNetDriver : public uml::Driver {
+ public:
+  const char* name() const override { return "scripted"; }
+  Status Probe(uml::DriverEnv& env) override {
+    uml::NetDriverOps ops;
+    ops.open = [this]() { return open ? open() : Status::Ok(); };
+    ops.ioctl = [this](uint32_t cmd) -> Result<std::string> {
+      return ioctl ? ioctl(cmd) : Result<std::string>(std::string());
+    };
+    return env.RegisterNetdev(testing::kMacA, std::move(ops));
+  }
+
+  std::function<Status()> open;
+  std::function<Result<std::string>(uint32_t)> ioctl;
+};
+
+// A kernel-side thread that steps the pumped driver owns it until the step
+// returns: Kill on another thread must not reclaim the device under it.
+TEST(DriverHostOwnership, KillWaitsForTheStepInProgress) {
+  NetBench bench;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  auto driver = std::make_unique<ScriptedNetDriver>();
+  driver->open = [&]() {
+    entered = true;
+    auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return Status::Ok();
+  };
+  ASSERT_TRUE(bench.host->Start(std::move(driver)).ok());
+  const uint16_t source = bench.sut_nic.address().source_id();
+
+  // The open upcall steps the driver on the opener thread, which then blocks
+  // inside the driver's open.
+  std::thread opener([&]() { (void)bench.kernel.net().BringUp("eth0"); });
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!entered && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(entered);
+  std::thread killer([&]() { (void)bench.host->Kill(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(bench.machine.iommu().HasContext(source))
+      << "Kill reclaimed the device while a step was running the driver";
+  EXPECT_TRUE(bench.host->running());
+
+  release = true;
+  killer.join();
+  opener.join();
+  EXPECT_FALSE(bench.host->running());
+  EXPECT_FALSE(bench.machine.iommu().HasContext(source));
+}
+
+// A sync upcall issued from inside the driver's own dispatch cannot claim
+// the shard that dispatch holds, so it never re-enters the driver: it waits
+// on the channel and times out at the sync deadline, like any upcall to a
+// driver that does not answer.
+TEST(DriverHostOwnership, SyncUpcallFromInsideTheDriverNeverReentersIt) {
+  NetBench::Options options;
+  options.sud.uchan.sync_timeout_ms = 50;
+  NetBench bench(options);
+  int dispatches = 0;
+  int dispatches_at_return = -1;
+  Status nested = Status::Ok();
+  std::chrono::steady_clock::duration nested_wait{};
+  auto driver = std::make_unique<ScriptedNetDriver>();
+  driver->ioctl = [&](uint32_t cmd) -> Result<std::string> {
+    ++dispatches;
+    if (cmd == 1) {
+      auto t0 = std::chrono::steady_clock::now();
+      nested = bench.proxy->Ioctl(2).status();
+      nested_wait = std::chrono::steady_clock::now() - t0;
+      dispatches_at_return = dispatches;
+    }
+    return std::string("ok");
+  };
+  ASSERT_TRUE(bench.host->Start(std::move(driver)).ok());
+
+  EXPECT_TRUE(bench.proxy->Ioctl(1).ok());
+  EXPECT_EQ(dispatches_at_return, 1);
+  EXPECT_EQ(nested.code(), ErrorCode::kTimedOut);
+  EXPECT_GE(nested_wait, std::chrono::milliseconds(50));
 }
 
 }  // namespace

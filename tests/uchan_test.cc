@@ -89,14 +89,17 @@ TEST(Uchan, SyncUpcallTimesOutWithoutResponder) {
   EXPECT_EQ(uchan.stats().upcalls_timed_out, 1u);
 }
 
-TEST(Uchan, SyncUpcallRoundTripViaPump) {
+TEST(Uchan, SyncUpcallRoundTripViaDriverStep) {
   Uchan uchan(FastConfig());
-  uchan.set_user_pump([&]() {
+  uchan.set_driver_step([&]() {
     Result<UchanMsg> msg = WaitOne(uchan, 0);
-    ASSERT_TRUE(msg.ok());
-    UchanMsg reply;
-    reply.args[0] = msg.value().args[0] * 2;
-    uchan.Reply(msg.value(), std::move(reply));
+    EXPECT_TRUE(msg.ok());
+    if (msg.ok()) {
+      UchanMsg reply;
+      reply.args[0] = msg.value().args[0] * 2;
+      uchan.Reply(msg.value(), std::move(reply));
+    }
+    return true;
   });
   UchanMsg msg;
   msg.args[0] = 21;
@@ -123,9 +126,10 @@ TEST(Uchan, SyncUpcallRoundTripViaThread) {
 
 TEST(Uchan, PumpedDriverThatIgnoresRequestInterruptsSender) {
   Uchan uchan(FastConfig());
-  uchan.set_user_pump([&]() {
+  uchan.set_driver_step([&]() {
     // Driver runs but deliberately does not reply (malicious).
     (void)WaitOne(uchan, 0);
+    return true;
   });
   Result<UchanMsg> reply = uchan.SendSync(UchanMsg{});
   EXPECT_EQ(reply.status().code(), ErrorCode::kTimedOut);
@@ -325,11 +329,12 @@ TEST(UchanBatch, BatchFailsAfterShutdown) {
 TEST(Uchan, LateReplyAfterTimeoutIsDropped) {
   Uchan uchan(FastConfig());
   UchanMsg stashed_request;
-  uchan.set_user_pump([&]() {
+  uchan.set_driver_step([&]() {
     Result<UchanMsg> msg = WaitOne(uchan, 0);
     if (msg.ok()) {
       stashed_request = msg.value();  // hold the request, do not reply
     }
+    return true;
   });
   Result<UchanMsg> reply = uchan.SendSync(UchanMsg{});
   EXPECT_EQ(reply.status().code(), ErrorCode::kTimedOut);
@@ -340,13 +345,14 @@ TEST(Uchan, LateReplyAfterTimeoutIsDropped) {
   uchan.Reply(stashed_request, std::move(late));
 
   // The late reply neither leaked nor got delivered to the next sender.
-  uchan.set_user_pump([&]() {
+  uchan.set_driver_step([&]() {
     Result<UchanMsg> msg = WaitOne(uchan, 0);
     if (msg.ok()) {
       UchanMsg fresh;
       fresh.args[0] = 7;
       uchan.Reply(msg.value(), std::move(fresh));
     }
+    return true;
   });
   Result<UchanMsg> second = uchan.SendSync(UchanMsg{});
   ASSERT_TRUE(second.ok());
