@@ -440,7 +440,7 @@ void FuzzLiveBoundary(Rng& rng, Tally& tally) {
     }
     for (auto& [msg, s] : storm) {
       ++tally.up_fired;
-      (void)bench.ctx->ctl(s).SendAsync(std::move(msg));
+      (void)bench.ctx->ctl(s).SendAsync({&msg, 1});
     }
     bench.host->Pump();
   }

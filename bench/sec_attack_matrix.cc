@@ -438,7 +438,7 @@ Cell RunTxChainForgery(NetBench::Options options, const std::string& config) {
       StoreLe32(msg.inline_data.data() + i * kXmitFragBytes, records[i].first);
       StoreLe32(msg.inline_data.data() + i * kXmitFragBytes + 4, records[i].second);
     }
-    (void)bench.ctx->ctl().SendAsync(std::move(msg));
+    (void)bench.ctx->ctl().SendAsync({&msg, 1});
   };
   forge(3, {{0, 512}, {1, 512}});                            // count != payload
   forge(2, {{0, 512}, {60000, 512}});                        // bogus pool id

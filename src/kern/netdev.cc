@@ -89,17 +89,14 @@ Status NetSubsystem::Transmit(const std::string& name, SkbPtr skb) {
 }
 
 Status NetSubsystem::Transmit(NetDevice* device, SkbPtr skb) {
-  if (!device->up_) {
-    device->stats().tx_dropped++;
-    return Status(ErrorCode::kUnavailable, device->name() + " is down");
+  Result<size_t> accepted = TransmitFrames(device, {&skb, 1});
+  if (!accepted.ok()) {
+    return accepted.status();
   }
-  Status status = device->ops()->StartXmit(std::move(skb));
-  if (status.ok()) {
-    device->stats().tx_packets++;
-  } else {
-    device->stats().tx_dropped++;
+  if (accepted.value() == 0) {
+    return Status(ErrorCode::kQueueFull, device->name() + " dropped the frame");
   }
-  return status;
+  return Status::Ok();
 }
 
 Result<size_t> NetSubsystem::TransmitBatch(const std::string& name, std::vector<SkbPtr> skbs) {
@@ -111,37 +108,45 @@ Result<size_t> NetSubsystem::TransmitBatch(const std::string& name, std::vector<
 }
 
 Result<size_t> NetSubsystem::TransmitBatch(NetDevice* device, std::vector<SkbPtr> skbs) {
+  return TransmitFrames(device, skbs);
+}
+
+Result<size_t> NetSubsystem::TransmitFrames(NetDevice* device, std::span<SkbPtr> skbs) {
   if (!device->up_) {
     device->stats().tx_dropped += skbs.size();
     return Status(ErrorCode::kUnavailable, device->name() + " is down");
   }
-  size_t total = skbs.size();
+  auto xmit = [device](std::span<SkbPtr> frames, uint16_t queue) {
+    size_t accepted = device->ops()->StartXmit(frames, queue);
+    device->queue_stats(queue).tx_packets += accepted;
+    return accepted;
+  };
+  uint16_t queues = device->num_queues();
   size_t accepted = 0;
-  if (device->num_queues() <= 1) {
-    // Single-queue: the whole burst in one driver call (the classic path).
-    accepted = device->ops()->StartXmitBatch(std::move(skbs), 0);
-    device->queue_stats(0).tx_packets += accepted;
+  if (skbs.size() == 1 || queues <= 1) {
+    // One frame, or one queue: the whole burst goes in one driver call.
+    if (!skbs.empty()) {
+      accepted = xmit(skbs, FlowQueue(skbs.front()->span(), queues));
+    }
   } else {
     // RSS-style transmit steering: partition the burst by flow hash, one
-    // StartXmitBatch per non-empty queue. Flows stay ordered (a flow always
+    // StartXmit per non-empty queue. Flows stay ordered (a flow always
     // hashes to the same queue); cross-flow order across queues is
     // deliberately unordered, as on real multi-queue hardware.
     std::array<std::vector<SkbPtr>, kNetMaxQueues> per_queue;
     for (SkbPtr& skb : skbs) {
-      uint16_t queue = FlowQueue(skb->span(), device->num_queues());
+      uint16_t queue = FlowQueue(skb->span(), queues);
       per_queue[queue].push_back(std::move(skb));
     }
-    for (uint16_t q = 0; q < device->num_queues(); ++q) {
-      if (per_queue[q].empty()) {
-        continue;
+    for (uint16_t q = 0; q < queues; ++q) {
+      if (!per_queue[q].empty()) {
+        accepted += xmit(per_queue[q], q);
+        per_queue[q].clear();  // frames the driver left are freed before the next queue's call
       }
-      size_t queue_accepted = device->ops()->StartXmitBatch(std::move(per_queue[q]), q);
-      device->queue_stats(q).tx_packets += queue_accepted;
-      accepted += queue_accepted;
     }
   }
   device->stats().tx_packets += accepted;
-  device->stats().tx_dropped += total - accepted;
+  device->stats().tx_dropped += skbs.size() - accepted;
   return accepted;
 }
 

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,24 +43,12 @@ class NetDeviceOps {
   virtual ~NetDeviceOps() = default;
   virtual Status Open() = 0;                              // ndo_open
   virtual Status Stop() = 0;                              // ndo_stop
-  virtual Status StartXmit(SkbPtr skb) = 0;               // ndo_start_xmit
-  // NAPI-style transmit burst for TX queue `queue`: hand a whole array of
-  // frames (already steered to that queue by the caller's flow hash) to the
-  // driver in one call. Returns how many frames the driver accepted (a full
-  // queue drops the tail). The default forwards one by one and ignores the
-  // queue; batching multi-queue drivers (the SUD Ethernet proxy) override it
-  // to amortize the per-crossing cost and to hit the queue's own channel.
-  virtual size_t StartXmitBatch(std::vector<SkbPtr> skbs, uint16_t queue) {
-    (void)queue;
-    size_t accepted = 0;
-    for (SkbPtr& skb : skbs) {
-      if (!StartXmit(std::move(skb)).ok()) {
-        break;
-      }
-      ++accepted;
-    }
-    return accepted;
-  }
+  // ndo_start_xmit, the one transmit entry: a burst of frames for TX queue
+  // `queue`, already steered there by the kernel's flow hash (a single frame
+  // is a burst of one). Returns how many frames from the front of `skbs` the
+  // driver accepted; a full queue drops the tail. The driver may move the
+  // frames it accepted out of the span; the caller frees the rest.
+  virtual size_t StartXmit(std::span<SkbPtr> skbs, uint16_t queue) = 0;
   virtual Result<std::string> Ioctl(uint32_t cmd) = 0;    // ndo_do_ioctl (e.g. SIOCGMIIREG)
 };
 
@@ -206,16 +195,18 @@ class NetSubsystem {
   Status BringUp(const std::string& name);
   Status BringDown(const std::string& name);
 
-  // The kernel's transmit entry (dev_queue_xmit): hands the skb to the
-  // driver's ndo_start_xmit. The NetDevice* overloads skip the name lookup
-  // for callers that already hold the interface (the per-packet bench loops).
+  // The kernel's transmit entry (dev_queue_xmit). Transmit is the one-frame
+  // case of TransmitBatch: the qdisc draining a burst. On a multi-queue
+  // interface the frames are partitioned by RSS-style flow hash (FlowQueue),
+  // and each queue's slice goes to the driver in one StartXmit call on that
+  // queue, so per-queue driver threads receive disjoint work with no shared
+  // channel and a flow leaves on one queue whether sent alone or in a burst.
+  // TransmitBatch returns how many frames the driver accepted in total;
+  // Transmit fails with kQueueFull when the driver dropped its frame. The
+  // NetDevice* overloads skip the name lookup for callers that already hold
+  // the interface (the per-packet bench loops).
   Status Transmit(const std::string& name, SkbPtr skb);
   Status Transmit(NetDevice* device, SkbPtr skb);
-  // Burst transmit: the qdisc draining its queue in one go. On a multi-queue
-  // interface the burst is partitioned by RSS-style flow hash (FlowQueue) and
-  // each queue's slice goes to the driver in one StartXmitBatch call on that
-  // queue — so per-queue driver threads receive disjoint work with no shared
-  // channel. Returns how many frames the driver accepted in total.
   Result<size_t> TransmitBatch(const std::string& name, std::vector<SkbPtr> skbs);
   Result<size_t> TransmitBatch(NetDevice* device, std::vector<SkbPtr> skbs);
 
@@ -238,6 +229,10 @@ class NetSubsystem {
   }
 
  private:
+  // The one transmit path behind Transmit and TransmitBatch: the up check,
+  // flow-hash steering, and the per-device and per-queue counters.
+  Result<size_t> TransmitFrames(NetDevice* device, std::span<SkbPtr> skbs);
+
   std::map<std::string, std::unique_ptr<NetDevice>> devices_;
   std::map<std::string, int> name_counter_;
   Firewall firewall_;

@@ -58,11 +58,10 @@ Status AudioProxy::WriteSamples(ConstByteSpan samples) {
     msg.opcode = kAudioUpWrite;
     msg.buffer_id = buffer_id.value();
     msg.buffer_len = static_cast<uint32_t>(chunk);
-    Status status = ctx_->ctl().SendAsync(std::move(msg));
-    if (!status.ok()) {
+    if (ctx_->ctl().SendAsync({&msg, 1}) == 0) {
       ctx_->pool().Free(buffer_id.value());
       ++stats_.write_dropped;
-      return status;
+      return Status(ErrorCode::kQueueFull, "audio driver not consuming buffers");
     }
     ++stats_.write_upcalls;
     offset += chunk;

@@ -96,14 +96,6 @@ uint32_t EthernetProxy::DeclaredMtu(uint64_t declared) const {
   return static_cast<uint32_t>(std::min<uint64_t>(declared, pool_cap));
 }
 
-size_t EthernetProxy::StagedBufferIds(const UchanMsg& msg, int32_t* out) {
-  size_t count = wire::XmitFragCount(msg);
-  for (size_t i = 0; i < count; ++i) {
-    out[i] = wire::DecodeXmitFrag(msg, i).pool_id;
-  }
-  return count;
-}
-
 // Chain records the skb's geometry would stage: each segment (head, then
 // every frag) chunked by the pool buffer size.
 size_t EthernetProxy::StagedChainRecords(const kern::Skb& skb) const {
@@ -252,104 +244,63 @@ Status EthernetProxy::StageXmit(kern::SkbPtr& skb_ptr, size_t max_records, Uchan
   return Status::Ok();
 }
 
-Status EthernetProxy::StartXmit(kern::SkbPtr skb) {
-  uint16_t queue =
-      netdev_ != nullptr ? kern::FlowQueue(skb->span(), netdev_->num_queues()) : 0;
-  UchanMsg msg;
-  SUD_RETURN_IF_ERROR(PrepareXmit(skb, &msg, queue));
-  // The ring consumes msg; keep just the ids for the failure path.
-  int32_t staged[kern::kMaxChainFrags];
-  size_t staged_count = StagedBufferIds(msg, staged);
-  Status status = ctx_->ctl(queue).SendAsync(std::move(msg));
-  if (!status.ok()) {
-    for (size_t i = 0; i < staged_count; ++i) {
-      ctx_->pool().Free(staged[i]);
-    }
-    stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
-    if (status.code() == ErrorCode::kQueueFull) {
-      NoteXmitFull();
-    }
-    return status;
-  }
-  consecutive_full_.store(0, std::memory_order_relaxed);
-  stats_.xmit_upcalls.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-size_t EthernetProxy::StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) {
+size_t EthernetProxy::StartXmit(std::span<kern::SkbPtr> skbs, uint16_t queue) {
   if (queue >= ctx_->num_queues()) {
     queue = 0;
   }
-  // Stage every frame first, so the whole array crosses in one enqueue.
-  std::vector<UchanMsg> msgs;
-  msgs.reserve(skbs.size());
-  Status staging = Status::Ok();
-  for (kern::SkbPtr& skb : skbs) {
-    UchanMsg msg;
-    staging = PrepareXmit(skb, &msg, queue);
-    if (!staging.ok()) {
-      break;  // pool exhausted: the tail of the burst is dropped
-    }
-    msgs.push_back(std::move(msg));
+  // Stage every frame first, so the whole burst crosses in one enqueue. One
+  // message lives inline, so a one-frame transmit allocates nothing; longer
+  // bursts spill to a vector.
+  UchanMsg one;
+  std::vector<UchanMsg> spill;
+  UchanMsg* msgs = &one;
+  if (skbs.size() > 1) {
+    spill.resize(skbs.size());
+    msgs = spill.data();
   }
-  if (staging.code() == ErrorCode::kQueueFull) {
-    // Each frame behind the failing one would have hit the same empty pool:
-    // account them like the per-packet path would (drop + hung detection).
-    for (size_t rest = msgs.size() + 1; rest < skbs.size(); ++rest) {
-      stats_.xmit_dropped.fetch_add(1, std::memory_order_relaxed);
+  size_t staged = 0;
+  Status staging = Status::Ok();
+  while (staged < skbs.size()) {
+    staging = PrepareXmit(skbs[staged], &msgs[staged], queue);
+    if (!staging.ok()) {
+      break;  // the failing frame was counted in PrepareXmit
+    }
+    ++staged;
+  }
+  if (!staging.ok()) {
+    // The tail behind the failing frame is dropped unstaged. Behind an empty
+    // pool each of those frames would have met the same backpressure, so each
+    // counts as the failing one did (drop + hung detection).
+    size_t unstaged = skbs.size() - staged - 1;
+    stats_.xmit_dropped.fetch_add(unstaged, std::memory_order_relaxed);
+    for (size_t i = 0; i < unstaged && staging.code() == ErrorCode::kQueueFull; ++i) {
       if (netdev_ != nullptr) {
         netdev_->stats().tx_no_buffer++;
       }
       NoteXmitFull();
     }
-  } else if (!staging.ok() && msgs.size() + 1 < skbs.size()) {
-    // Any other staging failure mid-burst also drops the unstaged tail:
-    // count those frames too (the failing frame was counted in PrepareXmit).
-    stats_.xmit_dropped.fetch_add(skbs.size() - msgs.size() - 1, std::memory_order_relaxed);
   }
-  if (msgs.empty()) {
+  if (staged == 0) {
     return 0;
-  }
-  // Staged buffer ids captured before the ring consumes the messages: one
-  // flat array plus a per-message count, so the failure paths can free
-  // exactly the messages that never enqueued.
-  size_t total_msgs = msgs.size();
-  std::vector<int32_t> staged_ids;
-  std::vector<uint32_t> staged_counts;
-  staged_ids.reserve(total_msgs);
-  staged_counts.reserve(total_msgs);
-  int32_t scratch[kern::kMaxChainFrags];
-  for (const UchanMsg& msg : msgs) {
-    size_t count = StagedBufferIds(msg, scratch);
-    staged_counts.push_back(static_cast<uint32_t>(count));
-    staged_ids.insert(staged_ids.end(), scratch, scratch + count);
   }
   stats_.xmit_batches.fetch_add(1, std::memory_order_relaxed);
-  Result<size_t> enqueued = ctx_->ctl(queue).SendAsyncBatch(std::move(msgs));
-  if (!enqueued.ok()) {
-    for (int32_t id : staged_ids) {
-      ctx_->pool().Free(id);
+  Uchan& shard = ctx_->ctl(queue);
+  size_t enqueued = shard.SendAsync({msgs, staged});
+  // The ring left the messages it did not take intact: free their records.
+  for (size_t i = enqueued; i < staged; ++i) {
+    for (size_t r = 0; r < wire::XmitFragCount(msgs[i]); ++r) {
+      ctx_->pool().Free(wire::DecodeXmitFrag(msgs[i], r).pool_id);
     }
-    stats_.xmit_dropped.fetch_add(total_msgs, std::memory_order_relaxed);
-    return 0;
   }
-  // Reclaim the buffers of the ring-full tail.
-  size_t tail_start = 0;
-  for (size_t i = 0; i < enqueued.value(); ++i) {
-    tail_start += staged_counts[i];
-  }
-  for (size_t i = tail_start; i < staged_ids.size(); ++i) {
-    ctx_->pool().Free(staged_ids[i]);
-  }
-  size_t dropped = total_msgs - enqueued.value();
+  size_t dropped = staged - enqueued;
   stats_.xmit_dropped.fetch_add(dropped, std::memory_order_relaxed);
-  stats_.xmit_upcalls.fetch_add(enqueued.value(), std::memory_order_relaxed);
-  if (dropped > 0) {
-    NoteXmitFull();
-  } else if (enqueued.value() > 0) {
+  stats_.xmit_upcalls.fetch_add(enqueued, std::memory_order_relaxed);
+  if (dropped == 0) {
     consecutive_full_.store(0, std::memory_order_relaxed);
+  } else if (!shard.is_shutdown()) {
+    NoteXmitFull();  // a full ring, not a dead channel
   }
-  return enqueued.value();
+  return enqueued;
 }
 
 Result<std::string> EthernetProxy::Ioctl(uint32_t cmd) {

@@ -6,14 +6,15 @@
 //
 //   ndo_open/ndo_stop  -> synchronous upcalls (interruptable: ifconfig on a
 //                         hung driver returns an error instead of blocking)
-//   ndo_start_xmit     -> ONE asynchronous upcall per frame carrying a
-//                         fragment list of shared-pool buffers (zero-copy
-//                         hand-off; the driver points its NIC at the same
-//                         bytes). A frame that fits one buffer is a list of
-//                         one; frag skbs for an SG driver stage per-fragment
-//                         into standard pool buffers, or under sealed_tx
-//                         cross their DRAM frags as read-only grants; for a
-//                         non-SG driver the proxy linearizes first
+//   ndo_start_xmit     -> ONE asynchronous upcall crossing per burst (a
+//                         frame alone is a burst of one), one message per
+//                         frame carrying a fragment list of shared-pool
+//                         buffers (zero-copy hand-off; the driver points its
+//                         NIC at the same bytes). Frag skbs for an SG driver
+//                         stage per-fragment into standard pool buffers, or
+//                         under sealed_tx cross their DRAM frags as read-only
+//                         grants; for a non-SG driver the proxy linearizes
+//                         first
 //   ndo_do_ioctl       -> synchronous upcall (the MII status example)
 //   netif_rx           <- ONE asynchronous downcall per frame carrying a
 //                         fragment list in the driver's DMA space; the proxy
@@ -30,7 +31,7 @@
 // the driver's declared SG bit — never by the message it arrived under.
 //
 // Multi-queue: packet traffic rides the uchan shard of the queue it belongs
-// to. StartXmitBatch(skbs, q) stages its burst into shard q (the kernel's
+// to. StartXmit(skbs, q) stages its burst into shard q (the kernel's
 // flow steering in NetSubsystem::TransmitBatch already partitioned it);
 // netif_rx downcalls arriving on shard q join queue q's rx bundle, which the
 // shard's end-of-entry flush hands to the stack as one NAPI delivery. The
@@ -52,6 +53,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,14 +95,13 @@ class EthernetProxy : public kern::NetDeviceOps {
   // kern::NetDeviceOps
   Status Open() override;
   Status Stop() override;
-  // Single-frame transmit: steers by flow hash onto the frame's queue shard.
-  Status StartXmit(kern::SkbPtr skb) override;
-  // NAPI-style burst for TX queue `queue`: stages every frame into a
-  // shared-pool buffer, then enqueues the whole array of xmit upcalls in ONE
-  // crossing of shard `queue` (one lock acquisition, at most one driver
-  // wakeup — and no lock shared with any other queue). Frames the ring
-  // cannot take are dropped and their pool buffers reclaimed.
-  size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override;
+  // The one transmit entry, for TX queue `queue`: stages every frame into
+  // shared-pool buffers (or sealed-TX grants), then enqueues the whole array
+  // of xmit upcalls in ONE crossing of shard `queue` (one lock acquisition,
+  // at most one driver wakeup, and no lock shared with any other queue). A
+  // one-frame transmit allocates no message array. Frames the pool or the
+  // ring cannot take are dropped and their buffers reclaimed.
+  size_t StartXmit(std::span<kern::SkbPtr> skbs, uint16_t queue) override;
   Result<std::string> Ioctl(uint32_t cmd) override;
 
   kern::NetDevice* netdev() { return netdev_; }
@@ -117,7 +118,7 @@ class EthernetProxy : public kern::NetDeviceOps {
 
   struct Stats {
     std::atomic<uint64_t> xmit_upcalls{0};
-    std::atomic<uint64_t> xmit_batches{0};      // StartXmitBatch crossings
+    std::atomic<uint64_t> xmit_batches{0};      // StartXmit calls that reached the uchan
     std::atomic<uint64_t> xmit_dropped{0};
     std::atomic<uint64_t> rx_downcalls{0};
     std::atomic<uint64_t> rx_bundles{0};        // NAPI deliveries into the stack
@@ -222,11 +223,6 @@ class EthernetProxy : public kern::NetDeviceOps {
   // (same records, no memcpy). All or nothing: on failure every staged
   // record is freed again.
   Status StageXmit(kern::SkbPtr& skb, size_t max_records, UchanMsg* msg, uint16_t queue);
-  // Extracts every pool buffer id a staged xmit message references into
-  // `out`, which must hold kern::kMaxChainFrags entries; returns how many.
-  // The failure paths free exactly these when a message never reaches the
-  // ring.
-  static size_t StagedBufferIds(const UchanMsg& msg, int32_t* out);
   // Records the skb's geometry would stage (each segment chunked by the pool
   // buffer size): the stage-vs-linearize decision input.
   size_t StagedChainRecords(const kern::Skb& skb) const;

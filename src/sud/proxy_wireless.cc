@@ -23,8 +23,7 @@ uint32_t WirelessProxy::EnableFeatures(uint32_t requested) {
   UchanMsg msg;
   msg.opcode = kWifiUpEnableFeatures;
   msg.args[0] = enabled;
-  Status status = ctx_->ctl().SendAsync(std::move(msg));
-  if (status.ok()) {
+  if (ctx_->ctl().SendAsync({&msg, 1}) == 1) {
     ++stats_.feature_upcalls_queued;
   }
   return enabled;

@@ -314,8 +314,7 @@ void SudDeviceContext::OnDeviceInterrupt(uint16_t queue, uint16_t msi_source_id)
   UchanMsg msg;
   msg.opcode = kOpInterrupt;
   msg.args[0] = queue;
-  Status status = shards_->shard(queue).SendAsync(std::move(msg));
-  if (!status.ok()) {
+  if (shards_->shard(queue).SendAsync({&msg, 1}) == 0) {
     // Ring full even after the channel's bounded retry: treat like an
     // unacknowledged interrupt — mask. The upcall was never delivered, so
     // no ack for it can ever arrive: the in-flight flag must come back off
@@ -394,7 +393,7 @@ Status SudDeviceContext::InterruptAck(uint16_t queue) {
     UchanMsg msg;
     msg.opcode = kOpInterrupt;
     msg.args[0] = q;
-    if (!shards_->shard(q).SendAsync(std::move(msg)).ok()) {
+    if (shards_->shard(q).SendAsync({&msg, 1}) == 0) {
       // Shard ring full: keep the pend; the next ack on any queue retries.
       irq_in_flight_[q] = false;
       irq_pended_[q] = true;

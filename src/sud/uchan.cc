@@ -165,7 +165,7 @@ Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
     // Section 3.1.1: "if the device driver's queue is full, the kernel can
     // wait a short period of time to determine if the user-space driver is
     // making any progress at all" — the short wait is the bounded retry in
-    // SendAsync/SendAsyncBatch; callers count the drop when they give up.
+    // SendAsync; callers count the drop when they give up.
     return Status(ErrorCode::kQueueFull, "kernel-to-user ring full");
   }
   // Forced ring-full injection, restricted to loss-tolerant messages: the
@@ -179,8 +179,8 @@ Status Uchan::EnqueueUpcallLocked(UchanMsg&& msg) {
   if (driver_idle_) {
     // The driver is asleep in select: this enqueue costs one process wakeup
     // (the 4 us of Section 5.1); it is now runnable, so further enqueues
-    // before its next sleep are free — which is also what makes the whole of
-    // a SendAsyncBatch cost a single wakeup.
+    // before its next sleep are free — which is also what makes a whole
+    // SendAsync burst cost a single wakeup.
     ChargeKernelLocked(costs().process_wakeup);
     stats_.wakeups++;
     driver_idle_ = false;
@@ -275,37 +275,19 @@ Status Uchan::RetryEnqueueLocked(UchanMsg& msg, Status status,
   return status;
 }
 
-Status Uchan::SendAsync(UchanMsg msg) {
-  std::unique_lock<std::mutex> lock(mu_);
-  msg.seq = next_seq_++;
-  msg.needs_reply = false;
-  stats_.upcalls_async++;
-  Status status = EnqueueUpcallLocked(std::move(msg));
-  if (!status.ok()) {
-    status = RetryEnqueueLocked(msg, status, lock);
-  }
-  if (status.ok()) {
-    upcall_cv_.notify_all();
-  } else if (status.code() == ErrorCode::kQueueFull) {
-    stats_.upcalls_dropped_full++;
-  }
-  return status;
-}
-
-Result<size_t> Uchan::SendAsyncBatch(std::vector<UchanMsg> msgs) {
+size_t Uchan::SendAsync(std::span<UchanMsg> msgs) {
   std::unique_lock<std::mutex> lock(mu_);
   if (shutdown_) {
-    return Status(ErrorCode::kUnavailable, "uchan shut down");
+    return 0;
   }
   stats_.upcall_batches++;
   size_t enqueued = 0;
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    UchanMsg& msg = msgs[i];
+  for (UchanMsg& msg : msgs) {
     msg.seq = next_seq_++;
     msg.needs_reply = false;
     stats_.upcalls_async++;
     Status status = EnqueueUpcallLocked(std::move(msg));
-    if (!status.ok() && status.code() == ErrorCode::kQueueFull) {
+    if (status.code() == ErrorCode::kQueueFull) {
       if (enqueued > 0) {
         // Wake the driver on what is already queued before backing off.
         upcall_cv_.notify_all();
@@ -315,13 +297,11 @@ Result<size_t> Uchan::SendAsyncBatch(std::vector<UchanMsg> msgs) {
     if (!status.ok()) {
       if (status.code() == ErrorCode::kQueueFull) {
         // Ring stayed full through the bounded retry: drop this message and
-        // the rest of the batch (counted; the caller reclaims resources).
-        for (size_t rest = i; rest < msgs.size(); ++rest) {
-          if (rest > i) {
-            stats_.upcalls_async++;
-          }
-          stats_.upcalls_dropped_full++;
-        }
+        // the rest of the burst (counted; all of them stay intact in `msgs`
+        // for the caller to reclaim).
+        size_t dropped = msgs.size() - enqueued;
+        stats_.upcalls_async += dropped - 1;
+        stats_.upcalls_dropped_full += dropped;
       }
       break;
     }
@@ -432,51 +412,30 @@ Status Uchan::DowncallSync(UchanMsg& msg) {
   return status;
 }
 
-Status Uchan::DowncallAsync(UchanMsg msg) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      return Status(ErrorCode::kUnavailable, "uchan shut down");
-    }
-    stats_.downcalls_async++;
-    // Seq at enqueue time, under the lock: per-shard monotonic across every
-    // downcall, which is what lets the proxy reject an injected duplicate
-    // (same seq twice) without a message-id table.
-    msg.seq = next_seq_++;
-    if (config_.batch_async_downcalls) {
-      downcall_batch_.push_back(std::move(msg));
-      return Status::Ok();
-    }
-    downcall_batch_.push_back(std::move(msg));
-  }
-  // Unbatched configuration: every async downcall enters the kernel at once.
-  FlushDowncalls();
-  return Status::Ok();
-}
-
-Status Uchan::DowncallAsyncBatch(std::vector<UchanMsg> msgs) {
-  bool flush_now = false;
+Status Uchan::DowncallAsync(std::span<UchanMsg> msgs) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
       return Status(ErrorCode::kUnavailable, "uchan shut down");
     }
     stats_.downcalls_async += msgs.size();
-    for (UchanMsg& msg : msgs) {
-      msg.seq = next_seq_++;
-    }
     if (downcall_batch_.empty()) {
-      downcall_batch_ = std::move(msgs);
-    } else {
-      for (UchanMsg& msg : msgs) {
-        downcall_batch_.push_back(std::move(msg));
-      }
+      downcall_batch_.reserve(msgs.size());
     }
-    flush_now = !config_.batch_async_downcalls;
+    for (UchanMsg& msg : msgs) {
+      // Seq at enqueue time, under the lock: per-shard monotonic across every
+      // downcall, which is what lets the proxy reject an injected duplicate
+      // (same seq twice) without a message-id table.
+      msg.seq = next_seq_++;
+      downcall_batch_.push_back(std::move(msg));
+    }
+    if (config_.batch_async_downcalls) {
+      return Status::Ok();
+    }
   }
-  if (flush_now) {
-    FlushDowncalls();
-  }
+  // Unbatched configuration: the burst enters the kernel at once, as one
+  // entry, since the caller already chose its batch boundary.
+  FlushDowncalls();
   return Status::Ok();
 }
 

@@ -9,11 +9,14 @@
 //                               *interruptable*: a timeout (the model's
 //                               Ctrl-C) returns kTimedOut instead of hanging
 //                               the kernel on a malicious driver.
-//  * sud_asend  -> SendAsync:   asynchronous upcall; returns kQueueFull when
-//                               the ring stays full (hung-driver signal).
-//                               SendAsyncBatch enqueues a whole burst under
-//                               one lock acquisition and one wakeup charge —
-//                               the NAPI-style crossing of Section 3.1.2.
+//  * sud_asend  -> SendAsync:   asynchronous upcall of a burst of messages
+//                               (a single message is a burst of one) under
+//                               one lock acquisition and at most one wakeup
+//                               charge: the batching of Section 3.1.2.
+//                               Returns how many it enqueued; a ring that
+//                               stays full drops the tail (hung-driver
+//                               signal), which stays intact in the caller's
+//                               span for it to reclaim.
 //  * sud_wait   -> WaitBatch:   driver-side dequeue of up to a burst of
 //                               upcalls per crossing; polls the ring first
 //                               and only then "selects" (sleeps). Also the
@@ -49,6 +52,7 @@
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/base/cpu_model.h"
@@ -148,14 +152,14 @@ class Uchan {
     uint64_t upcalls_async = 0;
     uint64_t upcalls_timed_out = 0;
     uint64_t upcalls_dropped_full = 0;
-    uint64_t upcall_batches = 0;    // SendAsyncBatch crossings
+    uint64_t upcall_batches = 0;    // async upcall crossings: one per SendAsync
     uint64_t downcalls_sync = 0;
     uint64_t downcalls_async = 0;
     uint64_t downcall_batches = 0;  // flushes (kernel entries for downcalls)
     uint64_t wakeups = 0;           // driver woken from "select"
-    // Bounded backoff on a full kernel-to-user ring: SendAsync/SendAsyncBatch
-    // retries taken before a drop became final (successful retries are why
-    // this can exceed upcalls_dropped_full).
+    // Bounded backoff on a full kernel-to-user ring: SendAsync retries taken
+    // before a drop became final (successful retries are why this can exceed
+    // upcalls_dropped_full).
     uint64_t ring_full_retries = 0;
     // Fault-injection accounting — every injected channel fault is counted
     // here so the soak's conservation audit can close its books exactly:
@@ -201,13 +205,13 @@ class Uchan {
 
   // ---- kernel (proxy driver) side -----------------------------------------
   Result<UchanMsg> SendSync(UchanMsg msg);
-  Status SendAsync(UchanMsg msg);
   // Enqueues `msgs` in order under ONE lock acquisition, charging at most one
   // process wakeup for the whole burst. Returns the number of messages
-  // actually enqueued: when the ring fills mid-batch the tail of the batch is
-  // dropped (counted in upcalls_dropped_full) and the caller reclaims those
-  // messages' resources. A full ring returns ok with value 0.
-  Result<size_t> SendAsyncBatch(std::vector<UchanMsg> msgs);
+  // enqueued, 0 after Shutdown. When the ring stays full through the bounded
+  // retry, the rest of the burst is dropped (counted in upcalls_dropped_full)
+  // and left intact in `msgs[enqueued..]`, so the caller can reclaim what
+  // those messages reference.
+  size_t SendAsync(std::span<UchanMsg> msgs);
 
   // The kernel half of the downcall path: invoked once per downcall when the
   // driver enters the kernel (flush or sync downcall). Mutates the message
@@ -223,12 +227,12 @@ class Uchan {
   Result<std::vector<UchanMsg>> WaitBatch(uint64_t timeout_ms, size_t max_msgs);
   void Reply(const UchanMsg& request, UchanMsg reply);
   Status DowncallSync(UchanMsg& msg);
-  Status DowncallAsync(UchanMsg msg);
-  // Appends a whole burst of async downcalls under one lock acquisition (the
-  // NAPI rx path hands over its accumulated netif_rx array this way). In the
-  // unbatched configuration the burst still enters the kernel immediately —
-  // but as one entry, since the caller already chose its batch boundary.
-  Status DowncallAsyncBatch(std::vector<UchanMsg> msgs);
+  // Queues a burst of async downcalls (a single one is a burst of one; the
+  // NAPI rx path hands over its accumulated netif_rx array) under one lock
+  // acquisition, moving each message out of `msgs`. They enter the kernel at
+  // the next flush point, or at once as one entry in the unbatched
+  // configuration.
+  Status DowncallAsync(std::span<UchanMsg> msgs);
   void FlushDowncalls();
   // Invoked at the end of every downcall kernel entry (after the flush loop
   // and after a sync downcall). The Ethernet proxy uses it to hand the
@@ -274,8 +278,8 @@ class Uchan {
   // batch-first flush inside DowncallSync. A delayed tail is re-parked at the
   // front of downcall_batch_.
   void DeliverBatchLocked(std::vector<UchanMsg>& batch, std::unique_lock<std::mutex>& lock);
-  // Bounded ring-full retry/backoff for the async send paths; `msg` is
-  // intact on failure (EnqueueUpcallLocked moves only on success).
+  // Bounded ring-full retry/backoff for SendAsync; `msg` is intact on
+  // failure (EnqueueUpcallLocked moves only on success).
   Status RetryEnqueueLocked(UchanMsg& msg, Status status, std::unique_lock<std::mutex>& lock);
   // Runs the driver-step hook with the lock dropped; true if the driver ran.
   bool StepDriverLocked(std::unique_lock<std::mutex>& lock);

@@ -24,13 +24,9 @@ class DirectEnv::NetAdapter : public kern::NetDeviceOps {
     return env_->net_ops_.stop ? env_->net_ops_.stop()
                                : Status(ErrorCode::kUnavailable, "no stop op");
   }
-  Status StartXmit(kern::SkbPtr skb) override { return XmitOne(*skb, /*queue=*/0); }
-  size_t StartXmitBatch(std::vector<kern::SkbPtr> skbs, uint16_t queue) override {
+  size_t StartXmit(std::span<kern::SkbPtr> skbs, uint16_t queue) override {
     size_t accepted = 0;
-    for (kern::SkbPtr& skb : skbs) {
-      if (!XmitOne(*skb, queue).ok()) {
-        break;
-      }
+    while (accepted < skbs.size() && XmitOne(*skbs[accepted], queue).ok()) {
       ++accepted;
     }
     return accepted;

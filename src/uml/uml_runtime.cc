@@ -163,16 +163,16 @@ Status UmlRuntime::SyncDowncall(uint32_t opcode, UchanMsg* msg) {
 Status UmlRuntime::AsyncDowncall(UchanMsg msg) {
   // Later downcalls may not overtake netif_rx messages this thread queued.
   FlushRxPending(t_current_pump_queue, /*enter_kernel=*/false);
-  return ctx_->ctl().DowncallAsync(std::move(msg));
+  return ctx_->ctl().DowncallAsync({&msg, 1});
 }
 
 void UmlRuntime::FlushRxPending(uint16_t queue, bool enter_kernel) {
   if (!rx_pending_[queue].empty()) {
-    std::vector<UchanMsg> batch;
-    batch.swap(rx_pending_[queue]);
+    // The array keeps its capacity for the next NAPI accumulation.
+    (void)ctx_->ctl(queue).DowncallAsync(rx_pending_[queue]);
+    rx_pending_[queue].clear();
     rx_pending_bytes_[queue] = 0;
     stats_.rx_batches_flushed.fetch_add(1, std::memory_order_relaxed);
-    (void)ctx_->ctl(queue).DowncallAsyncBatch(std::move(batch));
   }
   if (enter_kernel) {
     ctx_->ctl(queue).FlushDowncalls();
@@ -249,7 +249,7 @@ void UmlRuntime::FreeTxBuffers(uint16_t queue, std::span<const int32_t> pool_buf
   FlushRxPending(queue, /*enter_kernel=*/false);
   UchanMsg msg;
   wire::EncodeFreeBuffers(pool_buffer_ids.data(), pool_buffer_ids.size(), &msg);
-  (void)ctx_->ctl(queue).DowncallAsync(std::move(msg));
+  (void)ctx_->ctl(queue).DowncallAsync({&msg, 1});
 }
 
 Status UmlRuntime::RegisterWifi(uint32_t supported_features, WifiDriverOps ops) {

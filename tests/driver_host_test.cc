@@ -114,7 +114,7 @@ TEST(DriverHost, ComatoseDriverHoldsResourcesUntilKilled) {
   // Upcalls pile up unserviced.
   auto frame = kern::BuildPacket(testing::kMacB, testing::kMacA, 1, 2, {});
   for (int i = 0; i < 4; ++i) {
-    (void)bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()}));
+    (void)testing::ProxyXmitOne(*bench.proxy, kern::MakeSkb({frame.data(), frame.size()}));
   }
   EXPECT_GT(bench.ctx->ctl().pending_upcalls(), 0u);
   ASSERT_TRUE(bench.host->Kill().ok());

@@ -46,6 +46,16 @@ struct WireRecorder : devices::EtherEndpoint {
   }
 };
 
+// Hands one frame straight to the proxy's transmit entry, on the queue the
+// kernel's flow hash would pick, skipping the interface's up check: the
+// direct-proxy tests drive drivers that never open the interface. Returns
+// how many frames the proxy accepted (0 or 1).
+inline size_t ProxyXmitOne(EthernetProxy& proxy, kern::SkbPtr skb) {
+  kern::NetDevice* netdev = proxy.netdev();
+  uint16_t queue = netdev != nullptr ? kern::FlowQueue(skb->span(), netdev->num_queues()) : 0;
+  return proxy.StartXmit({&skb, 1}, queue);
+}
+
 // Builds a frag skb whose payload fragments are DRAM-BACKED (the page-cache
 // shape a sendfile-style transmit produces): `head_len` bytes stay in the
 // linear head, the remainder is written ONCE into a contiguous DRAM block and

@@ -737,6 +737,48 @@ TEST(IntegrationNet, ConcurrentTxSendersMatchSerialPerQueue) {
 // its robustness IS the kernel's). A ring full of DD-without-EOP descriptors
 // must be dropped in bounded chains; a partial (torn) chain must neither
 // deliver nor wedge; real traffic must flow again afterwards.
+// A flow leaves on one TX queue whether the stack sends it alone or in a
+// burst: Transmit is the one-frame case of TransmitBatch's steering, so the
+// NIC's queue counters and the interface's per-queue counters both see every
+// frame of the flow on the flow's queue. The in-kernel driver (DirectEnv)
+// takes whatever queue the kernel hands it, so it shows the steering as is.
+TEST(IntegrationNet, FlowKeepsItsTxQueueAloneOrInABurst) {
+  constexpr uint16_t kQueues = 4;
+  NetBench::Options options;
+  options.start_sut = false;
+  options.nic_queues = kQueues;
+  NetBench bench(options);
+  ASSERT_TRUE(bench.StartSutInKernel().ok());
+  kern::NetDevice* netdev = bench.kernel.net().Find(bench.SutIfname());
+
+  // One frame of a flow steered to queue 2, one of a flow steered to queue 1.
+  auto frame_on = [](uint16_t queue) {
+    for (uint16_t port = 40000;; ++port) {
+      auto frame = kern::BuildPacket(kMacA, kMacB, port, 80, {});
+      if (kern::FlowQueue({frame.data(), frame.size()}, kQueues) == queue) {
+        return frame;
+      }
+    }
+  };
+  std::vector<uint8_t> flow = frame_on(2);
+  std::vector<uint8_t> other = frame_on(1);
+
+  ASSERT_TRUE(bench.kernel.net().Transmit(netdev, kern::MakeSkb({flow.data(), flow.size()})).ok());
+  std::vector<kern::SkbPtr> burst;
+  burst.push_back(kern::MakeSkb({flow.data(), flow.size()}));
+  burst.push_back(kern::MakeSkb({other.data(), other.size()}));
+  Result<size_t> accepted = bench.kernel.net().TransmitBatch(netdev, std::move(burst));
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted.value(), 2u);
+
+  const uint64_t expected[kQueues] = {0, 1, 2, 0};
+  for (uint16_t q = 0; q < kQueues; ++q) {
+    EXPECT_EQ(bench.sut_nic.queue_stats(q).tx_frames.load(), expected[q]) << "NIC queue " << q;
+    EXPECT_EQ(netdev->queue_stats(q).tx_packets.load(), expected[q]) << "netdev queue " << q;
+  }
+  EXPECT_EQ(netdev->stats().tx_packets.load(), 3u);
+}
+
 TEST(IntegrationNet, TornAndEndlessEopChainsAreBoundedAndDropped) {
   NetBench::Options options;
   options.start_sut = false;

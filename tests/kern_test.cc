@@ -199,15 +199,10 @@ class FakeOps : public NetDeviceOps {
     ++stops;
     return Status::Ok();
   }
-  Status StartXmit(SkbPtr skb) override {
-    last_len = skb->data_len();
-    ++xmits;
-    return Status::Ok();
-  }
+  size_t StartXmit(std::span<SkbPtr> skbs, uint16_t) override { return skbs.size(); }
   Result<std::string> Ioctl(uint32_t cmd) override { return std::string("ok"); }
 
-  int opens = 0, stops = 0, xmits = 0;
-  size_t last_len = 0;
+  int opens = 0, stops = 0;
   Status open_result = Status::Ok();
 };
 

@@ -35,17 +35,15 @@ TEST(EthernetProxyTest, XmitExhaustsPoolThenRecovers) {
 
   auto frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {});
   // Without pumping, each xmit holds one pool buffer.
-  int accepted = 0;
+  size_t accepted = 0;
   for (int i = 0; i < 8; ++i) {
-    if (bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok()) {
-      ++accepted;
-    }
+    accepted += testing::ProxyXmitOne(*bench.proxy, kern::MakeSkb({frame.data(), frame.size()}));
   }
-  EXPECT_EQ(accepted, 4);
+  EXPECT_EQ(accepted, 4u);
   EXPECT_EQ(bench.proxy->stats().xmit_dropped, 4u);
   // Pumping lets the driver transmit and free the buffers; service resumes.
   bench.host->Pump();
-  EXPECT_TRUE(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok());
+  EXPECT_EQ(testing::ProxyXmitOne(*bench.proxy, kern::MakeSkb({frame.data(), frame.size()})), 1u);
 }
 
 TEST(EthernetProxyTest, CarrierMirrorFollowsDriverDowncalls) {
@@ -189,6 +187,58 @@ TEST(MultiQueueProxyTest, TxSteeringUsesPerQueueShards) {
   EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 16u);
 }
 
+// A transmit burst larger than the shard ring, against a driver that never
+// drains it: the ring takes its capacity, and the proxy frees the records of
+// every message it did not take (a multi-record SG jumbo frame among them)
+// from the tail the channel left intact. The pool then holds exactly the
+// accepted frames' buffers; kill and restart make it whole again.
+TEST(EthernetProxyTest, RingFullBurstReclaimsTheIntactTail) {
+  constexpr size_t kRing = 8;
+  NetBench::Options options;
+  options.sud.uchan.ring_entries = kRing;
+  options.mtu = static_cast<uint32_t>(kern::kJumboMtu);  // an SG driver: jumbo frames chain
+  options.proxy.hung_threshold = 100;  // the reclaim, not the hung report, is under test
+  NetBench bench(options);
+  ASSERT_TRUE(bench.host
+                  ->Start(std::make_unique<drivers::E1000eDriver>(1, kern::kJumboMtu),
+                          uml::DriverHost::Mode::kComatose)
+                  .ok());
+  SharedBufferPool& pool = bench.ctx->pool();
+  ASSERT_EQ(pool.free_count(), pool.count());
+
+  auto small = kern::BuildPacket(kMacB, kMacA, 1, 2, {});
+  std::vector<uint8_t> jumbo_payload(8000, 0x6a);
+  auto jumbo =
+      kern::BuildPacket(kMacB, kMacA, 1, 2, {jumbo_payload.data(), jumbo_payload.size()});
+  const size_t jumbo_records = (jumbo.size() + pool.buffer_bytes() - 1) / pool.buffer_bytes();
+  ASSERT_GT(jumbo_records, 1u);
+  // kRing one-buffer frames fill the ring; the jumbo chain and two more
+  // one-buffer frames form the tail the ring cannot take.
+  std::vector<kern::SkbPtr> burst;
+  for (size_t i = 0; i < kRing + 1; ++i) {
+    burst.push_back(kern::MakeSkb({small.data(), small.size()}));
+  }
+  burst.insert(burst.begin() + kRing, kern::MakeSkb({jumbo.data(), jumbo.size()}));
+  burst.push_back(kern::MakeSkb({small.data(), small.size()}));
+  ASSERT_EQ(burst.size(), kRing + 3);
+
+  size_t accepted = bench.proxy->StartXmit(burst, 0);
+  EXPECT_EQ(accepted, kRing);
+  EXPECT_EQ(bench.proxy->stats().xmit_upcalls.load(), kRing);
+  EXPECT_EQ(bench.proxy->stats().xmit_dropped.load(), burst.size() - kRing);
+  EXPECT_EQ(bench.proxy->stats().xmit_batches.load(), 1u);
+  // Every frame was staged and offered to the ring; the ring refused the tail.
+  EXPECT_EQ(bench.ctx->ctl().stats().upcalls_async, burst.size());
+  EXPECT_EQ(bench.ctx->ctl().stats().upcalls_dropped_full, burst.size() - kRing);
+  EXPECT_EQ(bench.ctx->ctl().pending_upcalls(), kRing);
+  // Exactly the accepted frames' buffers are out; the tail's came back.
+  EXPECT_EQ(pool.free_count(), pool.count() - kRing);
+
+  ASSERT_TRUE(bench.host->Kill().ok());
+  ASSERT_TRUE(bench.host->Start(std::make_unique<drivers::E1000eDriver>(1, kern::kJumboMtu)).ok());
+  EXPECT_EQ(bench.ctx->pool().free_count(), bench.ctx->pool().count());
+}
+
 TEST(EthernetProxyTest, TxCompletionsCoalesceIntoOneFreeBufferMessage) {
   NetBench bench;
   ASSERT_TRUE(bench.StartSut().ok());
@@ -306,8 +356,8 @@ TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
   FaultInjector::Get().Arm(31);
   auto frame = kern::BuildPacket(kMacB, kMacA, 1, 2, {});
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).code(),
-              ErrorCode::kQueueFull);
+    EXPECT_EQ(testing::ProxyXmitOne(*bench.proxy, kern::MakeSkb({frame.data(), frame.size()})),
+              0u);
   }
   EXPECT_EQ(bench.proxy->stats().xmit_dropped.load(), 4u);
   EXPECT_EQ(netdev->stats().tx_no_buffer.load(), 4u);
@@ -316,7 +366,7 @@ TEST_F(ProxyFaultTest, InjectedPoolExhaustionCountsTxBackpressureAndRecovers) {
 
   // Clearing the fault restores service with no residue.
   FaultInjector::Get().Disarm();
-  ASSERT_TRUE(bench.proxy->StartXmit(kern::MakeSkb({frame.data(), frame.size()})).ok());
+  ASSERT_EQ(testing::ProxyXmitOne(*bench.proxy, kern::MakeSkb({frame.data(), frame.size()})), 1u);
   bench.host->Pump();
   EXPECT_EQ(bench.peer_nic.stats().rx_frames.load(), 1u);
   EXPECT_EQ(bench.ctx->pool().free_count(), bench.ctx->pool().count());

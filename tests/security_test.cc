@@ -310,7 +310,7 @@ TEST(Security, AsyncUpcallsToFullRingReportHungDriver) {
   int drops = 0;
   for (int i = 0; i < 64; ++i) {
     kern::SkbPtr skb = kern::MakeSkb(ConstByteSpan(frame.data(), frame.size()));
-    if (!bench.proxy->StartXmit(std::move(skb)).ok()) {
+    if (testing::ProxyXmitOne(*bench.proxy, std::move(skb)) == 0) {
       ++drops;
     }
   }
@@ -636,7 +636,7 @@ TEST(Security, ForgedXmitUpcallsRejectedBeforeArming) {
       StoreLe32(msg.inline_data.data() + i * kXmitFragBytes, records[i].first);
       StoreLe32(msg.inline_data.data() + i * kXmitFragBytes + 4, records[i].second);
     }
-    ASSERT_TRUE(bench.ctx->ctl().SendAsync(std::move(msg)).ok());
+    ASSERT_EQ(bench.ctx->ctl().SendAsync({&msg, 1}), 1u);
   };
   forge(3, {{0, 512}, {1, 512}});      // count disagrees with the payload
   forge(2, {{0, 512}, {60000, 512}});  // id the pool never issued
